@@ -37,10 +37,6 @@ EXTENDED = Precision("extended", 50, 1e-10)
 
 _PRECISIONS = {p.name: p for p in (DOUBLE, EXTENDED)}
 
-# Euler's constant, 30 digits.
-_EULER_GAMMA = "0.577215664901532860606512090082"
-
-
 def precision_named(name: str) -> Precision:
     try:
         return _PRECISIONS[name]
@@ -51,8 +47,8 @@ def precision_named(name: str) -> Precision:
 
 
 def euler_gamma() -> mp.mpf:
-    """Euler's constant at the current working precision (30-digit source)."""
-    return mp.mpf(_EULER_GAMMA)
+    """Euler's constant, correct to the current working precision."""
+    return +mp.euler
 
 
 def growth_constant() -> mp.mpf:

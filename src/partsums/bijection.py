@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exact import Partition, check_partition
+from .exact import ConsistencyError, Partition, check_partition
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,10 @@ def forward(parts: Iterable[int]) -> BijectionImage:
     alpha = _from_multiplicities(alpha_mult)
     beta = _from_multiplicities(beta_mult)
     j = sum(alpha) + sum(beta)
-    assert j == sum(parts[1::2]), "pair weight must equal the even-index subsum"
-    assert len(beta) <= n - 2 * j, "beta must fit the part-count bound"
+    if j != sum(parts[1::2]):
+        raise ConsistencyError("pair weight must equal the even-index subsum")
+    if len(beta) > n - 2 * j:
+        raise ConsistencyError("beta must fit the part-count bound")
     return BijectionImage(alpha, beta, n, j)
 
 
@@ -103,9 +105,12 @@ def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
     if parts[0] == 0:
         parts.pop(0)
     out = tuple(parts)
-    assert out == () or out[0] == n - 2 * j + len(alpha)
-    assert sum(out) == n, "rebuilt partition must have weight n"
-    assert sum(out[1::2]) == j, "rebuilt partition must have subsum j"
+    if out and out[0] != n - 2 * j + len(alpha):
+        raise ConsistencyError("rebuilt first part must be n - 2j + len(alpha)")
+    if sum(out) != n:
+        raise ConsistencyError("rebuilt partition must have weight n")
+    if sum(out[1::2]) != j:
+        raise ConsistencyError("rebuilt partition must have subsum j")
     return check_partition(out)
 
 

@@ -526,6 +526,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--n-max must be at least 3")
     if args.command == "f-table" and args.n < 0:
         parser.error("--n must be >= 0")
+    if args.command == "oeis-check" and args.count is not None and args.count < 1:
+        parser.error("--count must be >= 1")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
 

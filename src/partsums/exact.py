@@ -59,32 +59,57 @@ _P_LOCK = threading.Lock()
 _P_VALUES: list[int] = [1]  # p(0), p(1), ...; grows monotonically
 
 
+def _pentagonal_offsets(max_n: int) -> tuple[list[int], list[int]]:
+    """Negated generalized pentagonal numbers g <= max_n, split by sign.
+
+    g = k(3k -+ 1)/2 enters Euler's recurrence with sign (-1)^(k+1): the
+    first list holds -g for odd k (added terms), the second for even k
+    (subtracted terms).  Both lists are in order of increasing g.
+    """
+    added: list[int] = []
+    subtracted: list[int] = []
+    k = 1
+    while True:
+        g = k * (3 * k - 1) // 2
+        if g > max_n:
+            return added, subtracted
+        side = added if k % 2 else subtracted
+        side.append(-g)
+        if g + k <= max_n:
+            side.append(-(g + k))
+        k += 1
+
+
 def partition_counts(max_n: int) -> list[int]:
     """Return [p(0), ..., p(max_n)] via Euler's pentagonal recurrence.
 
-    The table grows in a process-wide cache guarded by a lock, so repeated
-    calls (including from worker threads) share work.  The returned list is
-    a copy; callers may mutate it freely.
+    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    While the table holds p(0..n-1) its length is n, so p(n - g) is
+    values[-g]; the generalized pentagonal numbers are therefore kept
+    negated, one list per sign, and each new p(n) is two C-level sums
+    over the offsets g <= n, with a cursor per list marking how many
+    offsets are in range.
+
+    The table grows in place in a process-wide cache guarded by a lock, so
+    repeated calls (including from worker threads) share work.  The
+    returned list is a copy; callers may mutate it freely.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     with _P_LOCK:
         values = _P_VALUES
-        while len(values) <= max_n:
-            n = len(values)
-            total = 0
-            k = 1
-            while True:
-                g = k * (3 * k - 1) // 2
-                if g > n:
-                    break
-                sign = -1 if k % 2 == 0 else 1
-                total += sign * values[n - g]
-                g = k * (3 * k + 1) // 2
-                if g <= n:
-                    total += sign * values[n - g]
-                k += 1
-            values.append(total)
+        if len(values) <= max_n:
+            added, subtracted = _pentagonal_offsets(max_n)
+            get = values.__getitem__
+            a = s = 0
+            for n in range(len(values), max_n + 1):
+                while a < len(added) and added[a] >= -n:
+                    a += 1
+                while s < len(subtracted) and subtracted[s] >= -n:
+                    s += 1
+                values.append(
+                    sum(map(get, added[:a])) - sum(map(get, subtracted[:s]))
+                )
         return values[: max_n + 1]
 
 

@@ -85,7 +85,7 @@ def test_gamma_validation():
 
 def test_digamma_rational_special_points():
     with mp.workdps(50):
-        g = mp.mpf(asymptotics._EULER_GAMMA)
+        g = +mp.euler
         assert abs(digamma_rational(1, 1) + g) == 0
         assert abs(digamma_rational(1, 2) + g + 2 * mp.log(2)) < mp.mpf("1e-45")
         assert abs(digamma_rational(3, 3) + g) == 0
@@ -103,7 +103,7 @@ def test_digamma_rational_against_series_oracle():
         f_n = 1 / mp.mpf(N + 1) - 1 / (N + x)
         fp = -1 / mp.mpf(N + 1) ** 2 + 1 / (N + x) ** 2
         fppp = -6 / mp.mpf(N + 1) ** 4 + 6 / (N + x) ** 4
-        return -mp.mpf(asymptotics._EULER_GAMMA) + s + integral + f_n / 2 - fp / 12 + fppp / 720
+        return -+mp.euler + s + integral + f_n / 2 - fp / 12 + fppp / 720
 
     with mp.workdps(50):
         for p, q in [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (5, 6), (7, 10)]:
@@ -111,13 +111,13 @@ def test_digamma_rational_against_series_oracle():
 
 
 def test_digamma_rational_against_mpmath():
-    # Third route; agreement is capped near 1e-30 by the stored gamma literal.
+    # Third route, independent of the package's own Euler constant.
     with mp.workdps(50):
         for q in range(1, 9):
             for p in range(1, q + 1):
                 ours = digamma_rational(p, q)
                 ref = mp.digamma(mp.mpf(p) / q)
-                assert abs(ours - ref) < mp.mpf("1e-25")
+                assert abs(ours - ref) < mp.mpf("1e-45")
 
 
 def test_digamma_rational_validation():
@@ -170,6 +170,32 @@ def test_c_coeff_two_routes_agree():
                 direct = c_coeff(m, i)
                 recombined = c_coeff_via_gammas(m, i)
                 assert abs(direct - recombined) < mp.mpf("1e-40")
+
+
+def test_extended_coefficients_reach_full_precision():
+    # Reference at 70 digits built from mpmath's own Euler constant and
+    # digamma: c = (gamma + log(2/C)) (m+1-2i)/(C m)
+    #             - (2/C) sum_j (j/m) gamma_{m,i+j},
+    # with gamma_{m,h} = -(gamma + log m + psi(h/m)) / m.
+    def reference(m, i, n):
+        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+        c = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+        for j in range(1, m):
+            h = (i + j) % m or m
+            g = -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
+            c -= 2 * mp.mpf(j) / m * g / glc
+        b = mp.mpf(m + 1 - 2 * i) / (2 * glc * m)
+        rn = mp.sqrt(n)
+        return c, mp.mpf(n) / m + b * rn * mp.log(n) + c * rn
+
+    tol = mp.mpf("1e-45")
+    for m, i in [(2, 1), (3, 1), (4, 3), (5, 2), (7, 7)]:
+        with mp.workdps(70):
+            c_ref, mean_ref = reference(m, i, 1000)
+            assert abs(c_coeff(m, i, EXTENDED) - c_ref) < tol
+            assert abs(c_coeff_via_gammas(m, i, EXTENDED) - c_ref) < tol
+            mean = predict_expected_subsum(1000, m, i, EXTENDED)
+            assert abs(mean - mean_ref) < tol * abs(mean_ref)
 
 
 def test_coefficients_at_double_precision():

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from partsums import exact, oracle
+from partsums import bijection, exact, oracle
 from partsums.bijection import forward, inverse
+from partsums.exact import ConsistencyError
 
 from conftest import partitions
 
@@ -52,6 +53,28 @@ def test_inverse_validation():
         inverse((), (), -1)
     with pytest.raises(ValueError):
         inverse((1, 2), (), 8)  # not a partition
+
+
+def test_broken_invariants_raise_consistency_error(monkeypatch):
+    # The checks must be real raises, not asserts that vanish under -O.
+    build = bijection._from_multiplicities
+    monkeypatch.setattr(
+        bijection, "_from_multiplicities", lambda mult: build(mult)[:-1]
+    )
+    with pytest.raises(ConsistencyError):
+        forward((3, 2, 1))
+    monkeypatch.undo()
+
+    suffix = bijection._suffix_counts
+
+    def off_by_one(parts, top):
+        counts = suffix(parts, top)
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(bijection, "_suffix_counts", off_by_one)
+    with pytest.raises(ConsistencyError):
+        inverse((1,), (1,), 6)
 
 
 def test_roundtrip_forward_then_inverse():

@@ -244,6 +244,16 @@ def test_oeis_check_partial_count(capsys):
     assert rows["entries_checked"] == "5"
 
 
+def test_oeis_check_rejects_nonpositive_count(capsys):
+    for count in ("0", "-3"):
+        code, out, err = run(
+            capsys, ["oeis-check", "--bfile", str(BFILE), "--count", count]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--count must be >= 1" in err
+
+
 def test_oeis_check_overlong_count_warns_in_parameters(capsys):
     code, out, _ = run(
         capsys,

@@ -46,6 +46,39 @@ def test_preload_partition_counts():
         exact.preload_partition_counts([2, 1])
 
 
+def _coin_change_counts(max_n):
+    # Independent route: count partitions part size by part size.
+    counts = [1] + [0] * max_n
+    for part in range(1, max_n + 1):
+        for t in range(part, max_n + 1):
+            counts[t] += counts[t - part]
+    return counts
+
+
+def test_partition_counts_against_coin_change():
+    assert exact.partition_counts(3000) == _coin_change_counts(3000)
+
+
+def test_partition_counts_spot_values():
+    # n = 1, 2 bring in the first added offsets, n = 5, 7 the first
+    # subtracted ones.
+    p = exact.partition_counts(7)
+    assert [p[n] for n in (0, 1, 2, 5, 7)] == [1, 1, 2, 7, 15]
+
+
+def test_partition_counts_grows_cache_in_steps(monkeypatch):
+    want = _coin_change_counts(3000)
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    for n in (10, 500, 3000):
+        assert exact.partition_counts(n) == want[: n + 1]
+    assert exact._P_VALUES == want
+
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    exact.preload_partition_counts(want[:37])
+    assert exact.partition_counts(3000) == want
+    assert exact._P_VALUES == want
+
+
 def test_restricted_counts_basics():
     table = exact.restricted_counts(10, 10)
     assert all(table[0][j] == 1 for j in range(11))
