@@ -80,6 +80,41 @@ def _ensure_real(z: mp.mpc, precision: Precision, what: str) -> mp.mpf:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _unit_roots(m: int, dps: int) -> tuple[tuple[mp.mpc, ...], tuple[mp.mpc, ...]]:
+    """omega^t for t = 0..m-1, and log(1 - omega^l) for l = 1..m-1 (index l - 1).
+
+    Each entry is the same mpmath call at the same precision as in a
+    per-term evaluation, so the sums over the table match it bit for bit.
+    """
+    with mp.workdps(dps):
+        roots = tuple(_omega_pow(m, t) for t in range(m))
+        logs = tuple(mp.log(1 - w) for w in roots[1:])
+        return roots, logs
+
+
+@lru_cache(maxsize=None)
+def _gauss_gammas(m: int, dps: int) -> tuple[mp.mpf, ...]:
+    """gamma_{m,h} for h = 1..m (index h - 1) by the closed real form.
+
+    The cosine table cos(2 pi t / m), t = 0..m-1, and the log-sine table
+    log sin(pi k / m) are computed once for all h; each gamma is then summed
+    in the same order and precision as a single-h evaluation would be.
+    """
+    with mp.workdps(dps):
+        cosines = [mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
+        kmax = (m + 1) // 2 if m % 2 else m // 2
+        logsines = [mp.log(mp.sinpi(mp.mpf(k) / m)) for k in range(1, kmax)]
+        out = []
+        for h in range(1, m):
+            acc = mp.pi / 2 * mp.cot(mp.pi * h / m) + mp.log(2)
+            for k, ls in enumerate(logsines, 1):
+                acc -= 2 * cosines[(h * k) % m] * ls
+            out.append(acc / m)
+        out.append(-mp.log(m) / m)
+        return tuple(out)
+
+
 def gamma_mh_roots(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     """gamma_{m,h} via the roots-of-unity sum.
 
@@ -91,24 +126,17 @@ def gamma_mh_roots(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     with mp.workdps(precision.dps):
         if m == 1:
             return mp.mpf(0)
+        roots, logs = _unit_roots(m, precision.dps)
         total = mp.mpc(0)
         for el in range(1, m):
-            w = _omega_pow(m, el)
-            total += _omega_pow(m, -h * el) * (-mp.log(1 - w))
+            total += roots[(-h * el) % m] * (-logs[el - 1])
         return _ensure_real(total / m, precision, f"gamma_({m},{h}) roots sum")
 
 
 def gamma_mh_gauss(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     """gamma_{m,h} via the closed real form (cotangent and log-sine sum)."""
     _check_mod_class(m, h)
-    with mp.workdps(precision.dps):
-        if h == m:
-            return -mp.log(m) / m
-        acc = mp.pi / 2 * mp.cot(mp.pi * h / m) + mp.log(2)
-        for k in range(1, (m + 1) // 2 if m % 2 else m // 2):
-            c = mp.cospi(mp.mpf((2 * h * k) % (2 * m)) / m)
-            acc -= 2 * c * mp.log(mp.sinpi(mp.mpf(k) / m))
-        return acc / m
+    return _gauss_gammas(m, precision.dps)[h - 1]
 
 
 def digamma_rational(p: int, q: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -169,10 +197,10 @@ def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
         )
         if m == 1:
             return first
+        roots, logs = _unit_roots(m, precision.dps)
         total = mp.mpc(0)
         for el in range(1, m):
-            w = _omega_pow(m, el)
-            total += _omega_pow(m, -el * (i - 1)) * mp.log(1 - w) / (1 - w)
+            total += roots[(-el * (i - 1)) % m] * logs[el - 1] / (1 - roots[el])
         val = first + 2 * total / (glc * m)
         return _ensure_real(val, precision, f"c_({m},{i})")
 
@@ -306,6 +334,16 @@ def tail_coefficient(idx: int, m: int, h: int) -> Fraction:
 _EXACT_STOP = "1e-30"  # relative tail threshold for the exact sum
 
 
+def _alpha_mpf(alpha: Real) -> mp.mpf:
+    """alpha at working precision; it must be finite and positive."""
+    a = _to_mpf(alpha)
+    if not mp.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if a <= 0:
+        raise ValueError("alpha must be positive")
+    return a
+
+
 def lambert_tau_exact(
     alpha: Real, m: int, h: int, precision: Precision = EXTENDED
 ) -> mp.mpf:
@@ -317,11 +355,14 @@ def lambert_tau_exact(
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        a = _to_mpf(alpha)
-        if a <= 0:
-            raise ValueError("alpha must be positive")
+        a = _alpha_mpf(alpha)
         stop = mp.mpf(_EXACT_STOP)
         x = mp.e ** (-a)
+        if x == 1:  # every term would divide by 1 - 1
+            raise ValueError(
+                f"alpha = {alpha} is too small: exp(-alpha) rounds to 1"
+                f" at {precision.dps} digits"
+            )
         q = x**h
         step = x**m
         total = mp.mpf(0)
@@ -370,9 +411,7 @@ def lambert_tau_asymptotic(
         raise ValueError("max_terms must be >= 0")
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        a = _to_mpf(alpha)
-        if a <= 0:
-            raise ValueError("alpha must be positive")
+        a = _alpha_mpf(alpha)
         inv = 1 / a
         value = inv * mp.log(inv) / m
         value += (euler_gamma() / m + gamma_mh_gauss(m, h, precision)) * inv

@@ -521,6 +521,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--n must be >= 0")
     if args.command == "oeis-check" and args.count is not None and args.count < 1:
         parser.error("--count must be >= 1")
+    if args.command == "constants" and args.m < 1:
+        parser.error("--m must be >= 1")
     if args.command == "lambert" and args.max_terms < 1:
         parser.error("--max-terms must be >= 1")
 

@@ -96,6 +96,14 @@ def partition_counts(max_n: int) -> list[int]:
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    return _p_values(max_n)[: max_n + 1]
+
+
+def _p_values(max_n: int) -> list[int]:
+    """Grow the shared p-table through p(max_n) and return the shared list.
+
+    Callers read it and must not mutate it; partition_counts hands out copies.
+    """
     with _P_LOCK:
         values = _P_VALUES
         if len(values) <= max_n:
@@ -110,7 +118,7 @@ def partition_counts(max_n: int) -> list[int]:
                 values.append(
                     sum(map(get, added[:a])) - sum(map(get, subtracted[:s]))
                 )
-        return values[: max_n + 1]
+        return values
 
 
 def preload_partition_counts(values: Sequence[int]) -> None:
@@ -399,8 +407,12 @@ def subsum_distribution(
     Works on the conjugate side: a column of height s = a*m + b (1 <= b <= m)
     contributes a to the statistic, plus 1 more when b >= i.  That turns the
     distribution into an unbounded knapsack over column heights with a
-    (weight, statistic) pair per height.  stat_cap truncates the statistic
-    axis when only small values are needed; by default it runs to n.
+    (weight, statistic) pair per height.  The knapsack is packed: row wt
+    holds its whole statistic axis in one int, count k at bit k * width,
+    so adding a height is one shift-and-add per row.  No count exceeds
+    p(n) < 2^(width - 1), so slots never carry into each other.  stat_cap
+    only truncates the returned counts to statistic values 0..stat_cap; by
+    default they run to n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -408,20 +420,18 @@ def subsum_distribution(
     cap = n if stat_cap is None else min(stat_cap, n)
     if cap < 0:
         raise ValueError("stat_cap must be >= 0")
-    dp = [[0] * (cap + 1) for _ in range(n + 1)]
-    dp[0][0] = 1
+    width = _p_values(n)[n].bit_length() + 1
+    dp = [0] * (n + 1)
+    dp[0] = 1
     for s in range(1, n + 1):
         a, b = divmod(s - 1, m)  # s = a*m + (b + 1) with residue b + 1 in 1..m
-        w = a + (1 if b + 1 >= i else 0)
+        shift = (a + (1 if b + 1 >= i else 0)) * width
         for wt in range(s, n + 1):
-            src = dp[wt - s]
-            dst = dp[wt]
-            top = min(wt - s + w, cap)
-            for k in range(w, top + 1):
-                v = src[k - w]
-                if v:
-                    dst[k] += v
-    return SubsumDistribution(n, m, i, dp[n])
+            dp[wt] += dp[wt - s] << shift
+    row, mask = dp[n], (1 << width) - 1
+    return SubsumDistribution(
+        n, m, i, [(row >> (k * width)) & mask for k in range(cap + 1)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,125 @@ def test_s_sum_predictions_remainder_bounded():
                     got = mp.mpf(split[h - 1]) / pn
                     want = sj_sum_prediction(n, m, h)
                     assert abs(got - want) <= mp.mpf("0.20") * log_n
+
+
+# Per-call forms of the roots-of-unity, closed-form and c sums, one
+# transcendental call per term as the library evaluated them before its
+# per-modulus tables.  The cached routes must reproduce them bit for bit,
+# which is what keeps CLI stdout byte-identical.
+
+
+def _omega(m, t):
+    return mp.expjpi(mp.mpf(2 * (t % m)) / m)
+
+
+def _gamma_roots_per_call(m, h, precision):
+    with mp.workdps(precision.dps):
+        if m == 1:
+            return mp.mpf(0)
+        total = mp.mpc(0)
+        for el in range(1, m):
+            w = _omega(m, el)
+            total += _omega(m, -h * el) * (-mp.log(1 - w))
+        return (total / m).real
+
+
+def _gamma_gauss_per_call(m, h, precision):
+    with mp.workdps(precision.dps):
+        if h == m:
+            return -mp.log(m) / m
+        acc = mp.pi / 2 * mp.cot(mp.pi * h / m) + mp.log(2)
+        for k in range(1, (m + 1) // 2 if m % 2 else m // 2):
+            c = mp.cospi(mp.mpf((2 * h * k) % (2 * m)) / m)
+            acc -= 2 * c * mp.log(mp.sinpi(mp.mpf(k) / m))
+        return acc / m
+
+
+def _c_per_call(m, i, precision):
+    with mp.workdps(precision.dps):
+        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+        first = (+mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+        if m == 1:
+            return first
+        total = mp.mpc(0)
+        for el in range(1, m):
+            w = _omega(m, el)
+            total += _omega(m, -el * (i - 1)) * mp.log(1 - w) / (1 - w)
+        return (first + 2 * total / (glc * m)).real
+
+
+def test_cached_routes_match_per_call_sums_bit_for_bit():
+    for precision in (DOUBLE, EXTENDED):
+        for m in range(1, 13):
+            for h in range(1, m + 1):
+                assert gamma_mh_roots(m, h, precision)._mpf_ == (
+                    _gamma_roots_per_call(m, h, precision)._mpf_
+                ), (m, h, precision.name)
+                assert gamma_mh_gauss(m, h, precision)._mpf_ == (
+                    _gamma_gauss_per_call(m, h, precision)._mpf_
+                ), (m, h, precision.name)
+                assert c_coeff(m, h, precision)._mpf_ == (
+                    _c_per_call(m, h, precision)._mpf_
+                ), (m, h, precision.name)
+
+
+def _gamma_reference(m, h):
+    # Call inside mp.workdps(70): the digamma route, from mpmath's own psi.
+    return -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
+
+
+def test_extended_tables_survive_a_double_precision_fill():
+    # The per-modulus tables are keyed by (m, dps).  Filling them at DOUBLE
+    # first must not hand 16-digit entries to a later EXTENDED call.
+    asymptotics._unit_roots.cache_clear()
+    asymptotics._gauss_gammas.cache_clear()
+    moduli = (5, 11)
+    for m in moduli:
+        for h in range(1, m + 1):
+            gamma_mh_roots(m, h, DOUBLE)
+            gamma_mh_gauss(m, h, DOUBLE)
+            c_coeff(m, h, DOUBLE)
+    tol = mp.mpf("1e-45")
+    for m in moduli:
+        with mp.workdps(70):
+            glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+            gammas = {h: _gamma_reference(m, h) for h in range(1, m + 1)}
+            for h in range(1, m + 1):
+                assert abs(gamma_mh_roots(m, h, EXTENDED) - gammas[h]) < tol
+                assert abs(gamma_mh_gauss(m, h, EXTENDED) - gammas[h]) < tol
+            for i in range(1, m + 1):
+                c_ref = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+                for j in range(1, m):
+                    c_ref -= 2 * mp.mpf(j) / m * gammas[(i + j) % m or m] / glc
+                assert abs(c_coeff(m, i, EXTENDED) - c_ref) < tol
+                assert abs(c_coeff_via_gammas(m, i, EXTENDED) - c_ref) < tol
+
+
+def test_extended_lambert_asymptotic_reaches_full_precision():
+    # The same truncated series, summed at 70 digits from the digamma
+    # gamma_{m,h} and the exact Bernoulli tail coefficients.
+    for text, m, h in [("0.01", 1, 1), ("0.05", 3, 2), ("0.002", 5, 4), ("0.03", 6, 6)]:
+        with mp.workdps(EXTENDED.dps):
+            alpha = mp.mpf(text)
+        series = lambert_tau_asymptotic(alpha, m, h, precision=EXTENDED)
+        assert series.terms_used > 0
+        with mp.workdps(70):
+            inv = 1 / alpha
+            ref = inv * mp.log(inv) / m + (mp.euler / m + _gamma_reference(m, h)) * inv
+            for idx in range(series.terms_used):
+                coeff = tail_coefficient(idx, m, h)
+                ref += mp.mpf(coeff.numerator) / coeff.denominator * (alpha * m) ** idx
+            assert abs(series.value - ref) < mp.mpf("1e-45") * abs(ref), (text, m, h)
+
+
+def test_lambert_rejects_unresolvable_alpha():
+    for alpha in ("nan", "inf", float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            lambert_tau_asymptotic(alpha, 2, 1)
+    with pytest.raises(ValueError, match="finite"):
+        lambert_tau_exact("inf", 2, 1)
+    # exp(-alpha) is 1 at working precision: every term would divide by zero
+    with pytest.raises(ValueError, match="too small"):
+        lambert_tau_exact("1e-60", 2, 1)
+    with pytest.raises(ValueError, match="too small"):
+        lambert_tau_exact("1e-20", 1, 1, DOUBLE)

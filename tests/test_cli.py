@@ -4,6 +4,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +177,41 @@ def test_lambert_rejects_bad_alpha(capsys):
     code, _, err = run(capsys, ["lambert", "--alpha", "-1", "--m", "1", "--h", "1"])
     assert code == 2
     assert "alpha" in err
+
+
+def test_lambert_rejects_unresolvable_alpha(capsys):
+    for alpha, reason in [("inf", "finite"), ("1e-60", "too small")]:
+        code, out, err = run(
+            capsys, ["lambert", "--alpha", alpha, "--m", "2", "--h", "1"]
+        )
+        assert code == 2, alpha
+        assert out == ""
+        assert reason in err
+
+
+def test_lambert_nan_alpha_exits_2_without_hanging():
+    # A NaN term never compares below the stop threshold, so a missing check
+    # loops forever; the subprocess timeout turns that into a failure.
+    src = str(Path(partsums.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from partsums.cli import main; sys.exit(main(sys.argv[1:]))",
+         "lambert", "--alpha", "nan", "--m", "2", "--h", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "finite" in proc.stderr
+
+
+def test_constants_rejects_nonpositive_modulus(capsys):
+    for m in ("0", "-3"):
+        code, out, err = run(capsys, ["constants", "--m", m])
+        assert code == 2
+        assert out == ""
+        assert "--m must be >= 1" in err
 
 
 def test_bijection_forward(capsys):

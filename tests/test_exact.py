@@ -309,6 +309,19 @@ def test_subsum_distribution_stat_cap():
     assert capped.counts == full.counts[:11]
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_subsum_distribution_matches_enumeration_under_cap(data):
+    n = data.draw(st.integers(min_value=0, max_value=35))
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    i = data.draw(st.integers(min_value=1, max_value=m))
+    cap = data.draw(st.none() | st.integers(min_value=0, max_value=n + 3))
+    want = oracle.brute_distribution(n, m, i)
+    if cap is not None:
+        want = want[: cap + 1]
+    assert exact.subsum_distribution(n, m, i, stat_cap=cap).counts == want
+
+
 def test_euler_identity():
     assert exact.euler_identity_check(300)
     # n = 6 spelled out: 6 p(6) = sum sigma(k) p(6-k)
