@@ -27,9 +27,8 @@ def main():
             c = asymptotics.c_coeff(m, i)
             print(f"class (m={m}, i={i}):  b = {mp.nstr(b, 10)},  c = {mp.nstr(c, 10)}")
             print(f"{'n':>6} {'exact mean':>16} {'predicted':>16} {'r(n)/sqrt(n)':>14}")
-            tables = exact.divisor_tables(LADDER[-1], m, i)
             for n in LADDER:
-                total = exact.total_subsum(n, m, i, p=p, tables=tables)
+                total = exact.total_subsum(n, m, i, p=p)
                 mean = mp.mpf(total) / p[n]
                 pred = asymptotics.predict_expected_subsum(n, m, i)
                 scaled = (mean - pred) / mp.sqrt(n)

@@ -332,6 +332,7 @@ def tail_coefficient(idx: int, m: int, h: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _EXACT_STOP = "1e-30"  # relative tail threshold for the exact sum
+_EXACT_MAX_TERMS = 10**6  # alphas whose exact sum needs more are rejected
 
 
 def _alpha_mpf(alpha: Real) -> mp.mpf:
@@ -350,13 +351,21 @@ def lambert_tau_exact(
     """Exact value of sum_{d = h mod m, d >= 1} exp(-d alpha)/(1 - exp(-d alpha)).
 
     Terms are added until one falls below 1e-30 of the running total, which
-    outruns every tolerance used elsewhere in the package.  With m = h = 1
-    this is the plain Lambert series generating sum_k tau(k) exp(-k alpha).
+    outruns every tolerance used elsewhere in the package.  That takes about
+    ln(1e30) / (alpha m) terms; an alpha needing more than _EXACT_MAX_TERMS
+    is rejected with ValueError.  With m = h = 1 this is the plain Lambert
+    series generating sum_k tau(k) exp(-k alpha).
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
         a = _alpha_mpf(alpha)
         stop = mp.mpf(_EXACT_STOP)
+        terms = -mp.log(stop) / (a * m)
+        if terms > _EXACT_MAX_TERMS:
+            raise ValueError(
+                f"alpha = {alpha} is too small: the exact sum would need about"
+                f" {mp.nstr(terms, 3)} terms, more than {_EXACT_MAX_TERMS}"
+            )
         x = mp.e ** (-a)
         if x == 1:  # every term would divide by 1 - 1
             raise ValueError(

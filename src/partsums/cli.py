@@ -96,8 +96,8 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
 def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
     """p(0..max_n), read from the smallest cached p-table-N.txt with N >= max_n.
 
-    Only the p-table is kept on disk; the divisor sieve reruns faster than
-    its file reads back.  A miss saves p-table-{max_n}.txt through a
+    Only the p-table is kept on disk; totals are sums of its slices and
+    need no divisor sieve.  A miss saves p-table-{max_n}.txt through a
     temporary file, so a failed save leaves no partial table behind.
     """
     if cache_dir is None:
@@ -172,10 +172,9 @@ def cmd_expectation(args) -> tuple[ReportRecord, int]:
     n_list = sorted(set(args.n))
     prec = args.precision_obj
     p = _p_table_cached(args.cache_dir, n_list[-1])
-    totals = _totals(n_list, m, i, p)
     rows = []
-    for n, total in zip(n_list, totals):
-        mean = Fraction(total, p[n])
+    for n in n_list:
+        mean = Fraction(exact.total_subsum(n, m, i, p=p), p[n])
         with mp.workdps(prec.dps):
             approx = mp.mpf(mean.numerator) / mean.denominator
             predicted = asymptotics.predict_expected_subsum(n, m, i, prec)
@@ -195,11 +194,6 @@ def cmd_expectation(args) -> tuple[ReportRecord, int]:
     return record, EXIT_OK
 
 
-def _totals(n_list: list[int], m: int, i: int, p: list) -> list[int]:
-    """Exact (m, i) totals; the largest n goes first, so exact sieves once."""
-    return [exact.total_subsum(n, m, i, p=p) for n in reversed(n_list)][::-1]
-
-
 def _ladder(n_max: int) -> list[int]:
     out = []
     n = n_max
@@ -216,15 +210,14 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
     if len(ladder) < 2:
         raise UsageError("n-max must be at least 400 to form a ladder")
     p = _p_table_cached(args.cache_dir, ladder[-1])
-    totals = _totals(ladder, m, i, p)
 
     rows = []
     scaled = []
     with mp.workdps(prec.dps):
         b = asymptotics.b_coeff(m, i, prec)
         c = asymptotics.c_coeff(m, i, prec)
-        for n, total in zip(ladder, totals):
-            mean = mp.mpf(total) / p[n]
+        for n in ladder:
+            mean = mp.mpf(exact.total_subsum(n, m, i, p=p)) / p[n]
             rn = mp.sqrt(n)
             r = mean - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn
             scaled.append(abs(r) / rn)

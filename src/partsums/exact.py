@@ -4,9 +4,9 @@ Everything in this module is arbitrary-precision integer or rational
 arithmetic; floating point never enters.  The statistic of interest, for a
 partition lambda = (a_1 >= a_2 >= ...) and a residue class i mod m, is the
 sum of the parts a_i, a_{i+m}, a_{i+2m}, ...  Totals over all partitions of
-n are computed from divisor sums against the partition-count table rather
-than by enumeration; see enumeration in oracle.py for the brute-force
-ground truth used in tests.
+n are computed from slices of the partition-count table rather than by
+enumeration; see enumeration in oracle.py for the brute-force ground truth
+used in tests.
 """
 
 from __future__ import annotations
@@ -161,13 +161,14 @@ def restricted_counts(max_n: int, max_j: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class DivisorSumTables:
-    """Sieved divisor data for 1..max_k, specialized to a class (m, i).
+    """Sieved divisor data for 1..max_k for a modulus m and a class i.
 
     tau[k] counts all divisors of k.  tau_mod[h][k] counts divisors with
     canonical residue h in 1..m (h = m holds the divisors that are multiples
-    of m; row 0 is unused).  floor_sum[k] is the weighted divisor sum
-    sum_{d | k} floor((d + m - i) / m), which is the per-k kernel of the
-    spaced-subsum total.  Index 0 of each k-indexed list is unused.
+    of m; row 0 is unused); these depend on m alone.  floor_sum[k] is the
+    divisor kernel sum_{d | k} floor((d + m - i) / m) of the (m, i) total,
+    which total_subsum does not need; at m = 1 it is sigma(k).  Index 0 of
+    each k-indexed list is unused.
     """
 
     max_k: int
@@ -200,17 +201,16 @@ def divisor_tables(max_k: int, m: int, i: int) -> DivisorSumTables:
 
 
 _DIV_LOCK = threading.Lock()
-_DIV_CACHE: dict[tuple[int, int], DivisorSumTables] = {}
+_DIV_CACHE: dict[int, DivisorSumTables] = {}
 
 
-def _divisors_for(max_k: int, m: int, i: int) -> DivisorSumTables:
-    """Cached divisor tables, rebuilt only when a larger range is needed."""
-    key = (m, i)
+def _divisors_for(max_k: int, m: int) -> DivisorSumTables:
+    """One sieve per modulus for s_sums_exact, rebuilt only to grow."""
     with _DIV_LOCK:
-        cached = _DIV_CACHE.get(key)
+        cached = _DIV_CACHE.get(m)
         if cached is None or cached.max_k < max_k:
-            cached = divisor_tables(max_k, m, i)
-            _DIV_CACHE[key] = cached
+            cached = divisor_tables(max_k, m, 1)
+            _DIV_CACHE[m] = cached
         return cached
 
 
@@ -219,33 +219,24 @@ def _divisors_for(max_k: int, m: int, i: int) -> DivisorSumTables:
 # ---------------------------------------------------------------------------
 
 
-def total_subsum(
-    n: int,
-    m: int,
-    i: int,
-    p: Optional[Sequence[int]] = None,
-    tables: Optional[DivisorSumTables] = None,
-) -> int:
+def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> int:
     """Sum of the (m, i) spaced subsum over all partitions of n, exactly.
 
-    Evaluates sum_{k=1..n} floor_sum[k] * p(n - k).  Pass p and tables to
-    reuse precomputed data; they must cover n and match (m, i).
+    The total is sum_{k<=n} w(k) p(n - k) with the divisor kernel
+    w(k) = sum_{d | k} floor((d + m - i) / m).  Summing over each d first,
+    then over its multiples (the Lambert series swap), gives
+    sum_{d<=n} floor((d + m - i) / m) (p(n - d) + p(n - 2d) + ...), where
+    each inner sum is the slice p[n - d::-d]: no divisor sieve is needed.
+    p, if given, must hold p(0..n-1); by default the shared table is read.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_mod_class(m, i)
-    if n == 0:
-        return 0
     if p is None:
-        p = partition_counts(n)
-    elif len(p) <= n - 1:
+        p = _p_values(n)
+    elif len(p) < n:
         raise ValueError("p-table too short for n")
-    if tables is None:
-        tables = _divisors_for(n, m, i)
-    elif tables.m != m or tables.i != i or tables.max_k < n:
-        raise ValueError("divisor tables do not match (n, m, i)")
-    fs = tables.floor_sum
-    return sum(fs[k] * p[n - k] for k in range(1, n + 1))
+    return sum((d + m - i) // m * sum(p[n - d::-d]) for d in range(1, n + 1))
 
 
 def expected_subsum(n: int, m: int, i: int) -> Fraction:
@@ -274,7 +265,7 @@ def s_sums_exact(
     if p is None:
         p = partition_counts(n)
     if tables is None:
-        tables = _divisors_for(n, m, 1)
+        tables = _divisors_for(n, m)
     elif tables.m != m or tables.max_k < n:
         raise ValueError("divisor tables do not match (n, m)")
     total = sum(tables.tau[k] * p[n - k] for k in range(1, n + 1))
@@ -374,7 +365,7 @@ def theorem1_check(n: int) -> Optional[int]:
     cutoff = n // 3
     for j in range(hi + 1):
         fj = f[j] if j <= n else 0
-        aj = sum(p[t] * p[j - t] for t in range(j + 1))
+        aj = a000712(j, p)
         if fj != aj and first is None:
             first = j
         if j > cutoff and fj >= aj:
@@ -523,8 +514,7 @@ def load_divisor_tables(fh: TextIO) -> DivisorSumTables:
 
 def adopt_divisor_tables(tables: DivisorSumTables) -> None:
     """Install externally loaded divisor tables into the shared cache."""
-    key = (tables.m, tables.i)
     with _DIV_LOCK:
-        cached = _DIV_CACHE.get(key)
+        cached = _DIV_CACHE.get(tables.m)
         if cached is None or cached.max_k < tables.max_k:
-            _DIV_CACHE[key] = tables
+            _DIV_CACHE[tables.m] = tables

@@ -74,12 +74,8 @@ def test_criterion_3_exact_identity_suite():
     p = exact.partition_counts(500)
     ok_cover = True
     for m in range(1, 7):
-        tables = [exact.divisor_tables(500, m, i) for i in range(1, m + 1)]
         for n in range(501):
-            total = sum(
-                exact.total_subsum(n, m, i, p=p, tables=tables[i - 1])
-                for i in range(1, m + 1)
-            )
+            total = sum(exact.total_subsum(n, m, i, p=p) for i in range(1, m + 1))
             if total != n * p[n]:
                 ok_cover = False
 
@@ -214,13 +210,12 @@ def test_criterion_7_expectation_convergence():
     with mp.workdps(50):
         log_top = mp.log(LADDER[-1])
         for m, i in CONV_CLASSES:
-            tables = exact.divisor_tables(LADDER[-1], m, i)
             b = asymptotics.b_coeff(m, i)
             c = asymptotics.c_coeff(m, i)
             scaled = []
             remainders = []
             for n in LADDER:
-                total = exact.total_subsum(n, m, i, p=p, tables=tables)
+                total = exact.total_subsum(n, m, i, p=p)
                 mean = mp.mpf(total) / p[n]
                 rn = mp.sqrt(n)
                 r = mean - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn

@@ -291,6 +291,9 @@ def test_lambert_exact_validation():
         lambert_tau_exact(-2, 1, 1)
     with pytest.raises(ValueError):
         lambert_tau_exact(1, 3, 4)
+    # exp(-alpha) resolves, but the sum would need over a million terms
+    with pytest.raises(ValueError, match="too small"):
+        lambert_tau_exact("6e-5", 1, 1)
 
 
 def test_lambert_asymptotic_prediction_quality():

@@ -191,19 +191,24 @@ def test_lambert_rejects_unresolvable_alpha(capsys):
 
 def test_lambert_nan_alpha_exits_2_without_hanging():
     # A NaN term never compares below the stop threshold, so a missing check
-    # loops forever; the subprocess timeout turns that into a failure.
+    # loops forever, and a tiny alpha needs ~1e18 terms; the subprocess
+    # timeout turns either into a failure.
     src = str(Path(partsums.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from partsums.cli import main; sys.exit(main(sys.argv[1:]))",
-         "lambert", "--alpha", "nan", "--m", "2", "--h", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "finite" in proc.stderr
+    for extra, reason in [
+        (["--alpha", "nan"], "finite"),
+        (["--alpha", "1e-17", "--precision", "double"], "too small"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from partsums.cli import main; sys.exit(main(sys.argv[1:]))",
+             "lambert", "--m", "2", "--h", "1", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, extra
+        assert proc.stdout == ""
+        assert reason in proc.stderr
 
 
 def test_constants_rejects_nonpositive_modulus(capsys):

@@ -184,9 +184,6 @@ def test_total_subsum_validation():
         exact.total_subsum(10, 2, 0)
     with pytest.raises(ValueError):
         exact.total_subsum(10, 2, 1, p=[1, 1, 2])  # table too short
-    bad_tables = exact.divisor_tables(20, 3, 1)
-    with pytest.raises(ValueError):
-        exact.total_subsum(10, 2, 1, tables=bad_tables)
 
 
 def test_expected_subsum_small_case():
@@ -346,6 +343,18 @@ def test_s_sums_recombination():
                 want = exact.total_subsum(n, m, i, p=p)
                 got = exact.total_subsum_from_s_sums(n, m, i, total, split, p[n])
                 assert got == want
+    # Past n/2 each slice holds a single term, and the totals are big ints.
+    # total_subsum reads p(0..n-1) only: a table of length exactly n, and
+    # one longer than n + 1 at n = 997, give the same total.
+    p = exact.partition_counts(3001)
+    for m in range(1, 7):
+        tables = exact.divisor_tables(3001, m, 1)
+        for n in (997, 3001):
+            total, split = exact.s_sums_exact(n, m, p=p, tables=tables)
+            for i in range(1, m + 1):
+                want = exact.total_subsum_from_s_sums(n, m, i, total, split, p[n])
+                assert exact.total_subsum(n, m, i, p=p) == want
+                assert exact.total_subsum(n, m, i, p=p[:n]) == want
 
 
 def test_s_sums_recombination_rejects_bad_input():
