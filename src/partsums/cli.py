@@ -1,8 +1,8 @@
 """Command-line interface over the exact tables and asymptotic series.
 
 Every subcommand assembles a ReportRecord and prints it in the requested
-format.  Exit status follows the usual triple: 0 on success, 1 when a
-mathematical check failed, 2 on bad usage or unreadable input.
+format.  Exit status: 0 on success, 1 when a mathematical check failed,
+2 on bad usage or unreadable input, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,10 +28,7 @@ from .exact import ConsistencyError
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-OEIS_GENERATORS = {
-    "a000712": lambda idx, p: exact.a000712(idx, p),
-}
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -116,7 +114,7 @@ def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
         exact.preload_partition_counts(values)
-        return exact.partition_counts(max_n)
+        return values
     values = exact.partition_counts(max_n)
     tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
     try:
@@ -137,12 +135,10 @@ def cmd_f_table(args) -> tuple[ReportRecord, int]:
     n = args.n
     f = exact.f_table(n)
     hi = 0 if n == 0 else n // 2 + 1
-    p = exact.partition_counts(max(hi, 1))
     rows = []
     for j in range(hi + 1):
-        fj = f[j]
-        aj = exact.a000712(j, p)
-        rows.append((j, fj, aj, fj == aj))
+        aj = exact.a000712(j)
+        rows.append((j, f[j], aj, f[j] == aj))
     record = ReportRecord(
         "f-table", {"n": n}, ["j", "f", "pair_count", "match"], rows
     )
@@ -171,10 +167,10 @@ def cmd_expectation(args) -> tuple[ReportRecord, int]:
     m, i = args.m, args.i
     n_list = sorted(set(args.n))
     prec = args.precision_obj
-    p = _p_table_cached(args.cache_dir, n_list[-1])
+    _p_table_cached(args.cache_dir, n_list[-1])  # seeds the shared table
     rows = []
     for n in n_list:
-        mean = Fraction(exact.total_subsum(n, m, i, p=p), p[n])
+        mean = exact.expected_subsum(n, m, i)
         with mp.workdps(prec.dps):
             approx = mp.mpf(mean.numerator) / mean.denominator
             predicted = asymptotics.predict_expected_subsum(n, m, i, prec)
@@ -222,7 +218,7 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
             r = mean - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn
             scaled.append(abs(r) / rn)
             rows.append((n, mean, r, abs(r) / rn, abs(r) / mp.log(n)))
-    improving = all(x > y for x, y in zip(scaled, scaled[1:]))
+    improving = all(x > y or y == 0 for x, y in zip(scaled, scaled[1:]))
     record = ReportRecord(
         "convergence",
         {
@@ -381,7 +377,6 @@ def read_bfile(path: Path) -> list[tuple[int, int]]:
 
 def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
     entries = read_bfile(args.bfile)
-    generator = OEIS_GENERATORS[args.generator]
     count = args.count if args.count is not None else len(entries)
     params = {
         "bfile": str(args.bfile),
@@ -395,11 +390,9 @@ def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
         count = len(entries)
     checked = entries[:count]
     p = exact.partition_counts(checked[-1][0])
-    first_bad = None
-    for idx, value in checked:
-        if generator(idx, p) != value:
-            first_bad = idx
-            break
+    first_bad = next(
+        (idx for idx, value in checked if exact.a000712(idx, p) != value), None
+    )
     rows = [
         ("entries_checked", len(checked)),
         ("first_mismatch_index", "none" if first_bad is None else first_bad),
@@ -492,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oeis-check", parents=[common],
                         help="compare a generated sequence against a b-file")
     sp.add_argument("--bfile", type=Path, required=True)
-    sp.add_argument("--generator", choices=sorted(OEIS_GENERATORS),
-                    default="a000712")
+    sp.add_argument("--generator", choices=("a000712",), default="a000712")
     sp.add_argument("--count", type=int, default=None)
     sp.set_defaults(handler=cmd_oeis_check)
 
@@ -536,6 +528,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     emit(record, args.format, sys.stdout, args.precision_obj.dps)
     return status
 

@@ -91,8 +91,8 @@ def partition_counts(max_n: int) -> list[int]:
     offsets are in range.
 
     The table grows in place in a process-wide cache guarded by a lock, so
-    repeated calls (including from worker threads) share work.  The
-    returned list is a copy; callers may mutate it freely.
+    repeated calls share work.  This returns a copy that callers may
+    mutate; package code reads the shared list in place via _p_values.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -102,7 +102,8 @@ def partition_counts(max_n: int) -> list[int]:
 def _p_values(max_n: int) -> list[int]:
     """Grow the shared p-table through p(max_n) and return the shared list.
 
-    Callers read it and must not mutate it; partition_counts hands out copies.
+    Package code reads it in place and never mutates it; it may run past
+    p(max_n).  partition_counts hands out copies.
     """
     with _P_LOCK:
         values = _P_VALUES
@@ -243,7 +244,7 @@ def expected_subsum(n: int, m: int, i: int) -> Fraction:
     """Mean of the (m, i) spaced subsum over partitions of n, as a Fraction."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = partition_counts(n)
+    p = _p_values(n)
     return Fraction(total_subsum(n, m, i, p=p), p[n])
 
 
@@ -257,13 +258,16 @@ def s_sums_exact(
 
     S = sum_k tau(k) p(n-k); the returned list holds S_h = the same sum with
     tau restricted to divisors of canonical residue h, at index h - 1.
+    p, if given, must hold p(0..n-1); by default the shared table is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if p is None:
-        p = partition_counts(n)
+        p = _p_values(n)
+    elif len(p) < n:
+        raise ValueError("p-table too short for n")
     if tables is None:
         tables = _divisors_for(n, m)
     elif tables.m != m or tables.max_k < n:
@@ -306,7 +310,7 @@ def euler_identity_check(n_max: int) -> bool:
     """Verify n p(n) = sum_{k=1..n} sigma(k) p(n-k) for every n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = partition_counts(n_max)
+    p = _p_values(n_max)
     sigma = divisor_tables(n_max, 1, 1).floor_sum  # floor((d+0)/1) = d, so sigma
     for n in range(1, n_max + 1):
         if n * p[n] != sum(sigma[k] * p[n - k] for k in range(1, n + 1)):
@@ -320,11 +324,13 @@ def euler_identity_check(n_max: int) -> bool:
 
 
 def a000712(j: int, p: Optional[Sequence[int]] = None) -> int:
-    """Number of pairs of partitions with total weight j (OEIS A000712)."""
+    """Pairs of partitions of total weight j (OEIS A000712); p holds p(0..j)."""
     if j < 0:
         raise ValueError("j must be >= 0")
     if p is None:
-        p = partition_counts(j)
+        p = _p_values(j)
+    elif len(p) <= j:
+        raise ValueError("p-table too short for j")
     return sum(p[t] * p[j - t] for t in range(j + 1))
 
 
@@ -339,7 +345,7 @@ def f_table(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     half = n // 2
-    p = partition_counts(half)
+    p = _p_values(half)
     bounded = restricted_counts(half, n)
     out = [0] * (n + 1)
     for j in range(half + 1):
@@ -348,27 +354,26 @@ def f_table(n: int) -> list[int]:
     return out
 
 
-def theorem1_check(n: int) -> Optional[int]:
+def theorem1_check(n: int) -> int:
     """First j where f(n, j) departs from the unrestricted pair count.
 
-    Scans j = 0..max(n, 1), treating f(n, j) = 0 beyond the table, and
-    returns the smallest j with f(n, j) != a000712(j), or None if there is
-    no such j in range.  Also insists the departure is one-sided: past the
-    agreement range f must fall strictly below the pair count.
+    Scans j = 0..n//2 + 1 and returns the smallest j with
+    f(n, j) != a000712(j).  f(n, n//2 + 1) = 0 lies below the pair count,
+    so one is always found, and f stays 0 past it.  Also insists the
+    departure is one-sided: past the agreement range f must fall strictly
+    below the pair count.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    hi = max(n, 1)
-    f = f_table(n)
-    p = partition_counts(hi)
+    hi = n // 2 + 1
+    f = f_table(n) + [0]  # f(0, 1) = 0: at n = 0 the scan passes the table
+    p = _p_values(hi)
     first = None
-    cutoff = n // 3
     for j in range(hi + 1):
-        fj = f[j] if j <= n else 0
-        aj = a000712(j, p)
+        fj, aj = f[j], a000712(j, p)
         if fj != aj and first is None:
             first = j
-        if j > cutoff and fj >= aj:
+        if j > n // 3 and fj >= aj:
             raise ConsistencyError(
                 f"f({n}, {j}) = {fj} is not below the pair count {aj}"
             )
@@ -390,9 +395,7 @@ class SubsumDistribution:
     counts: list[int]
 
 
-def subsum_distribution(
-    n: int, m: int, i: int, stat_cap: Optional[int] = None
-) -> SubsumDistribution:
+def subsum_distribution(n: int, m: int, i: int) -> SubsumDistribution:
     """Joint count of partitions of n by their (m, i) spaced subsum.
 
     Works on the conjugate side: a column of height s = a*m + b (1 <= b <= m)
@@ -401,16 +404,12 @@ def subsum_distribution(
     (weight, statistic) pair per height.  The knapsack is packed: row wt
     holds its whole statistic axis in one int, count k at bit k * width,
     so adding a height is one shift-and-add per row.  No count exceeds
-    p(n) < 2^(width - 1), so slots never carry into each other.  stat_cap
-    only truncates the returned counts to statistic values 0..stat_cap; by
-    default they run to n.
+    p(n) < 2^(width - 1), so slots never carry into each other.  The
+    returned counts cover statistic values 0..n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_mod_class(m, i)
-    cap = n if stat_cap is None else min(stat_cap, n)
-    if cap < 0:
-        raise ValueError("stat_cap must be >= 0")
     width = _p_values(n)[n].bit_length() + 1
     dp = [0] * (n + 1)
     dp[0] = 1
@@ -421,7 +420,7 @@ def subsum_distribution(
             dp[wt] += dp[wt - s] << shift
     row, mask = dp[n], (1 << width) - 1
     return SubsumDistribution(
-        n, m, i, [(row >> (k * width)) & mask for k in range(cap + 1)]
+        n, m, i, [(row >> (k * width)) & mask for k in range(n + 1)]
     )
 
 

@@ -21,6 +21,14 @@ BFILE = Path(__file__).parent / "data" / "b000712_16.txt"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
+def _package_env():
+    """Environment for a subprocess that imports this checkout's partsums."""
+    src = str(Path(partsums.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -112,6 +120,17 @@ def test_convergence_improves(capsys):
     assert [row[0] for row in doc["rows"]] == ["100", "400", "1600", "6400"]
 
 
+def test_convergence_exact_residuals_count_as_improving(capsys):
+    # The m = 1 mean is exactly n, so every residual is 0.
+    code, out, _ = run(
+        capsys,
+        ["convergence", "--m", "1", "--i", "1", "--n-max", "400",
+         "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["improving"] is True
+
+
 def test_convergence_needs_room_for_a_ladder(capsys):
     code, _, err = run(capsys, ["convergence", "--m", "2", "--i", "1",
                                 "--n-max", "300"])
@@ -193,9 +212,7 @@ def test_lambert_nan_alpha_exits_2_without_hanging():
     # A NaN term never compares below the stop threshold, so a missing check
     # loops forever, and a tiny alpha needs ~1e18 terms; the subprocess
     # timeout turns either into a failure.
-    src = str(Path(partsums.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _package_env()
     for extra, reason in [
         (["--alpha", "nan"], "finite"),
         (["--alpha", "1e-17", "--precision", "double"], "too small"),
@@ -209,6 +226,34 @@ def test_lambert_nan_alpha_exits_2_without_hanging():
         assert proc.returncode == 2, extra
         assert proc.stdout == ""
         assert reason in proc.stderr
+
+
+def test_python_m_partsums_runs_the_cli():
+    env = _package_env()
+    proc = subprocess.run(
+        [sys.executable, "-m", "partsums", "f-table", "--n", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "f-table (n=5)"
+    assert proc.stdout.splitlines()[1].split() == ["j", "f", "pair_count", "match"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "partsums", "f-table"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(n):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(exact, "f_table", broken)
+    code, out, err = run(capsys, ["f-table", "--n", "5"])
+    assert code == 3
+    assert out == ""
+    assert "ZeroDivisionError: injected" in err
 
 
 def test_constants_rejects_nonpositive_modulus(capsys):

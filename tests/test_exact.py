@@ -184,6 +184,10 @@ def test_total_subsum_validation():
         exact.total_subsum(10, 2, 0)
     with pytest.raises(ValueError):
         exact.total_subsum(10, 2, 1, p=[1, 1, 2])  # table too short
+    with pytest.raises(ValueError):
+        exact.s_sums_exact(10, 2, p=[1, 1, 2])
+    with pytest.raises(ValueError):
+        exact.a000712(10, [1, 1, 2])
 
 
 def test_expected_subsum_small_case():
@@ -300,23 +304,14 @@ def test_subsum_distribution_first_moment():
     assert sum(k * c for k, c in enumerate(counts)) == exact.total_subsum(120, 2, 1)
 
 
-def test_subsum_distribution_stat_cap():
-    full = exact.subsum_distribution(30, 2, 2)
-    capped = exact.subsum_distribution(30, 2, 2, stat_cap=10)
-    assert capped.counts == full.counts[:11]
-
-
 @settings(deadline=None)
 @given(st.data())
 def test_subsum_distribution_matches_enumeration_under_cap(data):
     n = data.draw(st.integers(min_value=0, max_value=35))
     m = data.draw(st.integers(min_value=1, max_value=6))
     i = data.draw(st.integers(min_value=1, max_value=m))
-    cap = data.draw(st.none() | st.integers(min_value=0, max_value=n + 3))
     want = oracle.brute_distribution(n, m, i)
-    if cap is not None:
-        want = want[: cap + 1]
-    assert exact.subsum_distribution(n, m, i, stat_cap=cap).counts == want
+    assert exact.subsum_distribution(n, m, i).counts == want
 
 
 def test_euler_identity():
