@@ -16,7 +16,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
 
@@ -91,15 +91,16 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
-    """p(0..max_n), read from the smallest cached p-table-N.txt with N >= max_n.
+def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> None:
+    """Seed the shared p-table from the smallest p-table-N.txt with N >= max_n.
 
-    Only the p-table is kept on disk; totals are sums of its slices and
-    need no divisor sieve.  A miss saves p-table-{max_n}.txt through a
-    temporary file, so a failed save leaves no partial table behind.
+    Only the p-table is kept on disk; totals are sums of its slices.  A
+    miss saves p-table-{max_n}.txt through a temporary file, so a failed
+    save leaves no partial table behind.  Without cache_dir nothing is
+    done: the shared table grows on first use.
     """
     if cache_dir is None:
-        return exact.partition_counts(max_n)
+        return
     cache_dir.mkdir(parents=True, exist_ok=True)
     sizes = {}
     for path in cache_dir.glob("p-table-*.txt"):
@@ -114,7 +115,7 @@ def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
         exact.preload_partition_counts(values)
-        return values
+        return
     values = exact.partition_counts(max_n)
     tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
     try:
@@ -123,7 +124,6 @@ def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> list:
         tmp.replace(cache_dir / f"p-table-{max_n}.txt")
     finally:
         tmp.unlink(missing_ok=True)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +163,30 @@ def cmd_theorem1(args) -> tuple[ReportRecord, int]:
     return record, EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def cmd_expectation(args) -> tuple[ReportRecord, int]:
-    m, i = args.m, args.i
-    n_list = sorted(set(args.n))
-    prec = args.precision_obj
-    _p_table_cached(args.cache_dir, n_list[-1])  # seeds the shared table
-    rows = []
-    for n in n_list:
+def _class_means(args, ns: list[int]) -> Iterator[tuple]:
+    """Yield (n, exact mean, mean, residual) of the (--m, --i) class.
+
+    The mean is the exact Fraction rounded once to working precision; the
+    residual is mean - n/m - b sqrt(n) log n - c sqrt(n).  b and c come
+    first, so a bad class fails before any table work.
+    """
+    m, i, prec = args.m, args.i, args.precision_obj
+    b = asymptotics.b_coeff(m, i, prec)
+    c = asymptotics.c_coeff(m, i, prec)
+    _p_table_cached(args.cache_dir, max(ns))
+    for n in ns:
         mean = exact.expected_subsum(n, m, i)
-        with mp.workdps(prec.dps):
-            approx = mp.mpf(mean.numerator) / mean.denominator
-            predicted = asymptotics.predict_expected_subsum(n, m, i, prec)
-            residual = (
-                approx
-                - mp.mpf(n) / m
-                - asymptotics.b_coeff(m, i, prec) * mp.sqrt(n) * mp.log(n)
-                - asymptotics.c_coeff(m, i, prec) * mp.sqrt(n)
-            )
-        rows.append((n, mean, approx, predicted, residual))
+        approx = mp.fdiv(mean.numerator, mean.denominator)
+        rn = mp.sqrt(n)
+        yield n, mean, approx, approx - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn
+
+
+def cmd_expectation(args) -> tuple[ReportRecord, int]:
+    m, i, prec = args.m, args.i, args.precision_obj
+    rows = [
+        (n, mean, approx, asymptotics.predict_expected_subsum(n, m, i, prec), residual)
+        for n, mean, approx, residual in _class_means(args, sorted(set(args.n)))
+    ]
     record = ReportRecord(
         "expectation",
         {"m": m, "i": i, "precision": prec.name},
@@ -200,25 +206,15 @@ def _ladder(n_max: int) -> list[int]:
 
 
 def cmd_convergence(args) -> tuple[ReportRecord, int]:
-    m, i = args.m, args.i
-    prec = args.precision_obj
+    m, i, prec = args.m, args.i, args.precision_obj
     ladder = _ladder(args.n_max)
     if len(ladder) < 2:
         raise UsageError("n-max must be at least 400 to form a ladder")
-    p = _p_table_cached(args.cache_dir, ladder[-1])
-
-    rows = []
-    scaled = []
-    with mp.workdps(prec.dps):
-        b = asymptotics.b_coeff(m, i, prec)
-        c = asymptotics.c_coeff(m, i, prec)
-        for n in ladder:
-            mean = mp.mpf(exact.total_subsum(n, m, i, p=p)) / p[n]
-            rn = mp.sqrt(n)
-            r = mean - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn
-            scaled.append(abs(r) / rn)
-            rows.append((n, mean, r, abs(r) / rn, abs(r) / mp.log(n)))
-    improving = all(x > y or y == 0 for x, y in zip(scaled, scaled[1:]))
+    rows = [
+        (n, approx, r, abs(r) / mp.sqrt(n), abs(r) / mp.log(n))
+        for n, _, approx, r in _class_means(args, ladder)
+    ]
+    improving = all(x[3] > y[3] or y[3] == 0 for x, y in zip(rows, rows[1:]))
     record = ReportRecord(
         "convergence",
         {
@@ -235,30 +231,28 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
 
 
 def cmd_constants(args) -> tuple[ReportRecord, int]:
-    m = args.m
-    prec = args.precision_obj
+    m, prec = args.m, args.precision_obj
     rows = []
-    with mp.workdps(prec.dps):
-        worst = mp.mpf(0)
-        total = mp.mpf(0)
-        for h in range(1, m + 1):
-            values = (
-                asymptotics.gamma_mh_roots(m, h, prec),
-                asymptotics.gamma_mh_gauss(m, h, prec),
-                asymptotics.gamma_mh_digamma(m, h, prec),
-            )
-            dev = max(abs(a - b) for a in values for b in values)
-            worst = max(worst, dev)
-            total += values[0]
-            rows.append((f"gamma[{h}] roots-of-unity", values[0]))
-            rows.append((f"gamma[{h}] gauss", values[1]))
-            rows.append((f"gamma[{h}] digamma", values[2]))
-        rows.append(("gamma_sum", total))
-        rows.append(("max_cross_deviation", worst))
-        for i in range(1, m + 1):
-            rows.append((f"b[{i}]", asymptotics.b_coeff(m, i, prec)))
-            rows.append((f"c[{i}]", asymptotics.c_coeff(m, i, prec)))
-        ok = worst <= prec.cross_tol and abs(total) <= prec.cross_tol
+    worst = mp.mpf(0)
+    total = mp.mpf(0)
+    for h in range(1, m + 1):
+        values = (
+            asymptotics.gamma_mh_roots(m, h, prec),
+            asymptotics.gamma_mh_gauss(m, h, prec),
+            asymptotics.gamma_mh_digamma(m, h, prec),
+        )
+        dev = max(abs(a - b) for a in values for b in values)
+        worst = max(worst, dev)
+        total += values[0]
+        rows.append((f"gamma[{h}] roots-of-unity", values[0]))
+        rows.append((f"gamma[{h}] gauss", values[1]))
+        rows.append((f"gamma[{h}] digamma", values[2]))
+    rows.append(("gamma_sum", total))
+    rows.append(("max_cross_deviation", worst))
+    for i in range(1, m + 1):
+        rows.append((f"b[{i}]", asymptotics.b_coeff(m, i, prec)))
+        rows.append((f"c[{i}]", asymptotics.c_coeff(m, i, prec)))
+    ok = worst <= prec.cross_tol and abs(total) <= prec.cross_tol
     record = ReportRecord(
         "constants",
         {"m": m, "precision": prec.name, "verdict": "PASS" if ok else "FAIL"},
@@ -274,9 +268,11 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
     series = asymptotics.lambert_tau_asymptotic(
         args.alpha, args.m, args.h, max_terms=args.max_terms, precision=prec
     )
-    with mp.workdps(prec.dps):
-        diff = abs(exact_value - series.value)
-        within = bool(diff <= 2 * series.last_term_magnitude)
+    if not mp.isfinite(series.last_term_magnitude):
+        raise UsageError(f"--max-terms {args.max_terms} keeps no nonzero tail"
+                         " term, so there is no error proxy to check against")
+    diff = abs(exact_value - series.value)
+    within = bool(diff <= 2 * series.last_term_magnitude)
     rows = [
         ("exact", exact_value),
         ("asymptotic", series.value),
@@ -315,7 +311,7 @@ def cmd_bijection(args) -> tuple[ReportRecord, int]:
     if args.partition is not None:
         parts = _parse_partition(args.partition)
         image = forward(parts)
-        back = inverse(image.alpha, image.beta, image.n)
+        ok = inverse(image.alpha, image.beta, image.n) == parts
         rows = [
             ("direction", "forward"),
             ("partition", _format_partition(parts)),
@@ -323,15 +319,15 @@ def cmd_bijection(args) -> tuple[ReportRecord, int]:
             ("beta", _format_partition(image.beta)),
             ("n", image.n),
             ("j", image.j),
-            ("roundtrip_ok", back == parts),
+            ("roundtrip_ok", ok),
         ]
-        ok = back == parts
         params = {"partition": args.partition}
     else:
         alpha = _parse_partition(args.alpha)
         beta = _parse_partition(args.beta)
         parts = inverse(alpha, beta, args.n)
         image = forward(parts)
+        ok = (image.alpha, image.beta) == (alpha, beta)
         rows = [
             ("direction", "inverse"),
             ("alpha", _format_partition(alpha)),
@@ -339,9 +335,8 @@ def cmd_bijection(args) -> tuple[ReportRecord, int]:
             ("n", args.n),
             ("partition", _format_partition(parts)),
             ("j", sum(alpha) + sum(beta)),
-            ("roundtrip_ok", (image.alpha, image.beta) == (alpha, beta)),
+            ("roundtrip_ok", ok),
         ]
-        ok = (image.alpha, image.beta) == (alpha, beta)
         params = {"alpha": args.alpha, "beta": args.beta, "n": args.n}
     record = ReportRecord("bijection", params, ["label", "value"], rows)
     return record, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -504,6 +499,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--n-max must be at least 3")
     if args.command == "f-table" and args.n < 0:
         parser.error("--n must be >= 0")
+    if args.command == "expectation" and min(args.n) < 1:
+        parser.error("--n must be >= 1")
     if args.command == "oeis-check" and args.count is not None and args.count < 1:
         parser.error("--count must be >= 1")
     if args.command == "constants" and args.m < 1:
@@ -521,7 +518,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     args.precision_obj = asymptotics.precision_named(args.precision)
     try:
-        record, status = args.handler(args)
+        with mp.workdps(args.precision_obj.dps):
+            record, status = args.handler(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

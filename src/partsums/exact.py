@@ -346,10 +346,10 @@ def f_table(n: int) -> list[int]:
         raise ValueError("n must be >= 0")
     half = n // 2
     p = _p_values(half)
-    bounded = restricted_counts(half, n)
+    bounded = restricted_counts(half, half)  # r <= half has at most half parts
     out = [0] * (n + 1)
     for j in range(half + 1):
-        cap = n - 2 * j
+        cap = min(n - 2 * j, half)
         out[j] = sum(p[t] * bounded[j - t][cap] for t in range(j + 1))
     return out
 
@@ -443,6 +443,8 @@ def load_p_table(fh: TextIO, max_n: Optional[int] = None) -> list[int]:
 
     With max_n, read only p(0..max_n) from a table at least that long.
     """
+    if max_n is not None and max_n < 0:
+        raise ValueError("max_n must be >= 0")
     header = fh.readline().strip()
     if not header.startswith("p-table max_n="):
         raise ValueError(f"not a p-table header: {header!r}")

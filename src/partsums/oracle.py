@@ -70,14 +70,7 @@ def brute_distribution(
     n: int, m: int, i: int, limit: int = ORACLE_LIMIT
 ) -> list[int]:
     """Histogram counts[k] of the (m, i) subsum over all partitions of n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_mod_class(m, i)
-    _guard(n, limit)
-    counts = [0] * (n + 1)
-    for parts in partitions_of(n):
-        counts[sum(parts[i - 1 :: m])] += 1
-    return counts
+    return brute_distributions(n, [(m, i)], limit)[(m, i)]
 
 
 def brute_distributions(

@@ -131,6 +131,47 @@ def test_convergence_exact_residuals_count_as_improving(capsys):
     assert json.loads(out)["parameters"]["improving"] is True
 
 
+def test_expectation_and_convergence_print_one_rounded_mean(capsys):
+    # n = 500 is a convergence ladder rung; the exact mean is rounded once,
+    # so both commands print the same mean and residual cells.
+    exact_mean = exact.expected_subsum(500, 5, 3)
+    with mp.workprec(56 + 400):  # DOUBLE is 56 bits; this reference is far wider
+        wide = mp.fdiv(exact_mean.numerator, exact_mean.denominator)
+    with mp.workdps(16):
+        want = mp.nstr(+wide, 17)
+    tail = ["--precision", "double", "--format", "csv"]
+    _, conv, _ = run(capsys, ["convergence", "--m", "5", "--i", "3",
+                              "--n-max", "2000", *tail])
+    _, expe, _ = run(capsys, ["expectation", "--m", "5", "--i", "3",
+                              "--n", "500", *tail])
+    conv_row = next(r for r in csv.reader(io.StringIO(conv)) if r[0] == "500")
+    expe_row = list(csv.reader(io.StringIO(expe)))[1]
+    assert conv_row[1] == expe_row[2] == want
+    assert conv_row[2] == expe_row[4]
+
+
+def test_expectation_rejects_small_n_before_the_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert run(capsys, ["expectation", "--m", "2", "--i", "1", "--n", "40",
+                        "--cache-dir", str(cache)])[0] == 0
+    code, out, err = run(capsys, ["expectation", "--m", "2", "--i", "1",
+                                  "--n", "-5", "--cache-dir", str(cache)])
+    assert code == 2
+    assert out == ""
+    assert "--n must be >= 1" in err
+    assert "p-table" not in err
+
+
+def test_bad_class_is_rejected_before_table_work(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, ["convergence", "--m", "2", "--i", "5",
+                                  "--n-max", "32000", "--cache-dir", str(cache)])
+    assert code == 2
+    assert out == ""
+    assert "residue index" in err
+    assert not list(cache.glob("p-table-*.txt"))
+
+
 def test_convergence_needs_room_for_a_ladder(capsys):
     code, _, err = run(capsys, ["convergence", "--m", "2", "--i", "1",
                                 "--n-max", "300"])
@@ -190,6 +231,19 @@ def test_lambert_rejects_nonpositive_max_terms(capsys):
         assert code == 2
         assert out == ""
         assert "--max-terms must be >= 1" in err
+
+
+def test_lambert_without_error_proxy_is_usage_error(capsys):
+    # At m = 2h the first tail coefficient is 0, so one term keeps nothing.
+    with pytest.warns(UserWarning, match="no usable term"):
+        code, out, err = run(
+            capsys,
+            ["lambert", "--alpha", "0.05", "--m", "2", "--h", "1",
+             "--max-terms", "1"],
+        )
+    assert code == 2
+    assert out == ""
+    assert "--max-terms" in err
 
 
 def test_lambert_rejects_bad_alpha(capsys):

@@ -417,6 +417,10 @@ def test_p_table_prefix_read():
         exact.load_p_table(buf, 65)
     with pytest.raises(ValueError, match="expected 4 values"):
         exact.load_p_table(io.StringIO("p-table max_n=9\n1\n1\n2\n"), 3)
+    buf.seek(0)
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        exact.load_p_table(buf, -1)
+    assert buf.tell() == 0  # rejected before reading anything
 
 
 def test_divisor_tables_serialization_roundtrip():
