@@ -331,7 +331,7 @@ def tail_coefficient(idx: int, m: int, h: int) -> Fraction:
 # Lambert-type divisor series
 # ---------------------------------------------------------------------------
 
-_EXACT_STOP = "1e-30"  # relative tail threshold for the exact sum
+GUARD_DPS = 10  # extra working digits; results are rounded to dps once
 _EXACT_MAX_TERMS = 10**6  # alphas whose exact sum needs more are rejected
 
 
@@ -350,40 +350,52 @@ def lambert_tau_exact(
 ) -> mp.mpf:
     """Exact value of sum_{d = h mod m, d >= 1} exp(-d alpha)/(1 - exp(-d alpha)).
 
-    Terms are added until one falls below 1e-30 of the running total, which
-    outruns every tolerance used elsewhere in the package.  That takes about
-    ln(1e30) / (alpha m) terms; an alpha needing more than _EXACT_MAX_TERMS
-    is rejected with ValueError.  With m = h = 1 this is the plain Lambert
-    series generating sum_k tau(k) exp(-k alpha).
+    With x = exp(-alpha) this is sum x^(d k) over d = h (mod m), k >= 1, split
+    at the hyperbola d = k into sum_k x^(k d0(k)) / (1 - x^(k m)), where
+    d0(k) = k + ((h - k) mod m), and sum_d x^(d (d + 1)) / (1 - x^d).  Powers
+    grow by products and each 1 - x^j by positive sums from -expm1, so nothing
+    cancels.  Each part stops when its tail bound, its next numerator over
+    (1 - x)(1 - x^m), drops below 10^-(dps + GUARD_DPS) of the total, after
+    about sqrt(ln(10^(dps + GUARD_DPS)) / alpha) terms; the total is rounded
+    to dps once.  Needing more than _EXACT_MAX_TERMS terms raises ValueError.
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
         a = _alpha_mpf(alpha)
-        stop = mp.mpf(_EXACT_STOP)
-        terms = -mp.log(stop) / (a * m)
-        if terms > _EXACT_MAX_TERMS:
-            raise ValueError(
-                f"alpha = {alpha} is too small: the exact sum would need about"
-                f" {mp.nstr(terms, 3)} terms, more than {_EXACT_MAX_TERMS}"
-            )
-        x = mp.e ** (-a)
-        if x == 1:  # every term would divide by 1 - 1
-            raise ValueError(
-                f"alpha = {alpha} is too small: exp(-alpha) rounds to 1"
-                f" at {precision.dps} digits"
-            )
-        q = x**h
-        step = x**m
-        total = mp.mpf(0)
+    dps = precision.dps + GUARD_DPS
+    with mp.workdps(dps):
+        x = mp.exp(-a)
+        terms = 2 * mp.sqrt(dps * mp.ln10 / a)
+        if x == 1 or terms > _EXACT_MAX_TERMS:  # x == 1 would divide by 1 - 1
+            why = (f"exp(-alpha) rounds to 1 at {dps} digits" if x == 1 else
+                   f"the exact sum would need about {mp.nstr(terms, 3)} terms,"
+                   f" more than {_EXACT_MAX_TERMS}")
+            raise ValueError(f"alpha = {mp.nstr(a, 8)} is too small: {why}")
+        one_x, one_xm = -mp.expm1(-a), -mp.expm1(-m * a)
+        cut = mp.mpf(10) ** -dps * one_x * one_xm  # stop: numerator < cut * total
+        xm, total = x**m, mp.mpf(0)
+        # d >= k: x^(k^2) x^(k r) / (1 - x^(k m)), r = (h - k) mod m
+        xk, sq, sq_step, xkm, den, k = x, x, x**3, xm, one_xm, 1
         while True:
-            term = q / (1 - q)
-            if term == 0:
+            total += sq * xk ** ((h - k) % m) / den
+            sq *= sq_step
+            if sq < cut * total:
                 break
-            total += term
-            if term < stop * total:
+            sq_step *= x * x
+            xk, k = xk * x, k + 1
+            den, xkm = den + xkm * one_xm, xkm * xm
+        # d < k: x^(d (d + 1)) / (1 - x^d) for d = h, h + m, ...
+        xd, den = x**h, -mp.expm1(-h * a)
+        tri, tri_step, tri_step2 = xd ** (h + 1), xm ** (2 * h + m + 1), xm ** (2 * m)
+        while True:
+            total += tri / den
+            tri *= tri_step
+            if tri < cut * total:
                 break
-            q *= step
-        return total
+            tri_step *= tri_step2
+            den, xd = den + xd * one_xm, xd * xm
+    with mp.workdps(precision.dps):
+        return +total
 
 
 @dataclass(frozen=True)
@@ -451,8 +463,8 @@ def lambert_tau_asymptotic(
             last_mag = prev_mag
             if nonzero_used == 1 and terms_used < max_terms:
                 warnings.warn(
-                    f"Lambert tail truncated at its first term; alpha = {alpha}"
-                    " is too large for the asymptotic expansion",
+                    "Lambert tail truncated at its first term; alpha ="
+                    f" {mp.nstr(a, 8)} is too large for the asymptotic expansion",
                     stacklevel=2,
                 )
         return SeriesEvaluation(value, terms_used, last_mag)

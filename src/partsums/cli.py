@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -166,19 +166,23 @@ def cmd_theorem1(args) -> tuple[ReportRecord, int]:
 def _class_means(args, ns: list[int]) -> Iterator[tuple]:
     """Yield (n, exact mean, mean, residual) of the (--m, --i) class.
 
-    The mean is the exact Fraction rounded once to working precision; the
-    residual is mean - n/m - b sqrt(n) log n - c sqrt(n).  b and c come
-    first, so a bad class fails before any table work.
+    The mean is the exact Fraction rounded once to working precision.  The
+    residual mean - n/m - b sqrt(n) log n - c sqrt(n) cancels digits, so it
+    takes GUARD_DPS more and is rounded once.  b and c come first, so a bad
+    class fails before any table work.
     """
     m, i, prec = args.m, args.i, args.precision_obj
-    b = asymptotics.b_coeff(m, i, prec)
-    c = asymptotics.c_coeff(m, i, prec)
+    guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)
+    b = asymptotics.b_coeff(m, i, guarded)
+    c = asymptotics.c_coeff(m, i, guarded)
     _p_table_cached(args.cache_dir, max(ns))
     for n in ns:
         mean = exact.expected_subsum(n, m, i)
-        approx = mp.fdiv(mean.numerator, mean.denominator)
-        rn = mp.sqrt(n)
-        yield n, mean, approx, approx - mp.mpf(n) / m - b * rn * mp.log(n) - c * rn
+        with mp.workdps(guarded.dps):
+            rn = mp.sqrt(n)
+            residual = (mp.fdiv(mean.numerator, mean.denominator) - mp.mpf(n) / m
+                        - b * rn * mp.log(n) - c * rn)
+        yield n, mean, mp.fdiv(mean.numerator, mean.denominator), +residual
 
 
 def cmd_expectation(args) -> tuple[ReportRecord, int]:
@@ -263,22 +267,43 @@ def cmd_constants(args) -> tuple[ReportRecord, int]:
 
 
 def cmd_lambert(args) -> tuple[ReportRecord, int]:
+    """Exact sum against the series, within twice the series' last term.
+
+    The series comes first, so a --max-terms usage error costs no exact sum.
+    Both sides get dps + GUARD_DPS digits past the last term, and more while
+    their difference keeps fewer than dps + 3; printed values round once.
+    """
     prec = args.precision_obj
-    exact_value = asymptotics.lambert_tau_exact(args.alpha, args.m, args.h, prec)
+    alpha = mp.mpf(args.alpha)  # parsed once, at working precision
+
+    def lost(small):  # leading digits that value - series cancels
+        return int(max(mp.ceil(mp.log10(abs(series.value) / small)), 0))
+
+    work = prec.dps + asymptotics.GUARD_DPS
     series = asymptotics.lambert_tau_asymptotic(
-        args.alpha, args.m, args.h, max_terms=args.max_terms, precision=prec
-    )
+        alpha, args.m, args.h, args.max_terms, replace(prec, dps=work))
     if not mp.isfinite(series.last_term_magnitude):
         raise UsageError(f"--max-terms {args.max_terms} keeps no nonzero tail"
                          " term, so there is no error proxy to check against")
-    diff = abs(exact_value - series.value)
-    within = bool(diff <= 2 * series.last_term_magnitude)
+    work += lost(series.last_term_magnitude)
+    while True:
+        at = replace(prec, dps=work)
+        series = asymptotics.lambert_tau_asymptotic(
+            alpha, args.m, args.h, args.max_terms, at)
+        last = series.last_term_magnitude
+        exact_value = asymptotics.lambert_tau_exact(alpha, args.m, args.h, at)
+        diff = abs(exact_value - series.value)  # rounded once, to dps
+        small = min(diff, last) or last
+        if work >= prec.dps + 3 + lost(small):
+            break
+        work = prec.dps + asymptotics.GUARD_DPS + lost(small)
+    within = bool(diff <= 2 * last)
     rows = [
-        ("exact", exact_value),
-        ("asymptotic", series.value),
+        ("exact", +exact_value),
+        ("asymptotic", +series.value),
         ("abs_difference", diff),
         ("terms_used", series.terms_used),
-        ("last_term_magnitude", series.last_term_magnitude),
+        ("last_term_magnitude", +last),
         ("within_2x_last_term", within),
     ]
     record = ReportRecord(
@@ -484,6 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=None)
     sp.set_defaults(handler=cmd_oeis_check)
 
+    for sp in sub.choices.values():  # usage errors name the subcommand
+        sp.set_defaults(usage_error=sp.error)
     return parser
 
 
@@ -491,29 +518,30 @@ def _format_partition(parts: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in parts) + ")"
 
 
-def _validate(args, parser: argparse.ArgumentParser) -> None:
+def _validate(args) -> None:
+    error = args.usage_error
     if args.command == "bijection" and args.partition is None:
         if args.alpha is None or args.beta is None or args.n is None:
-            parser.error("inverse direction needs --alpha, --beta and --n")
+            error("inverse direction needs --alpha, --beta and --n")
     if args.command == "theorem1" and args.n_max < 3:
-        parser.error("--n-max must be at least 3")
+        error("--n-max must be at least 3")
     if args.command == "f-table" and args.n < 0:
-        parser.error("--n must be >= 0")
+        error("--n must be >= 0")
     if args.command == "expectation" and min(args.n) < 1:
-        parser.error("--n must be >= 1")
+        error("--n must be >= 1")
     if args.command == "oeis-check" and args.count is not None and args.count < 1:
-        parser.error("--count must be >= 1")
+        error("--count must be >= 1")
     if args.command == "constants" and args.m < 1:
-        parser.error("--m must be >= 1")
+        error("--m must be >= 1")
     if args.command == "lambert" and args.max_terms < 1:
-        parser.error("--max-terms must be >= 1")
+        error("--max-terms must be >= 1")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args, parser)
+        _validate(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.precision_obj = asymptotics.precision_named(args.precision)

@@ -281,7 +281,53 @@ def test_lambert_exact_residues_sum_to_full():
             full = lambert_tau_exact(alpha, 1, 1)
             for m in range(2, 6):
                 split = sum(lambert_tau_exact(alpha, m, h) for h in range(1, m + 1))
-                assert abs(split - full) / full < mp.mpf("1e-25")
+                assert abs(split - full) / full < mp.mpf("1e-45")
+
+
+def _lambert_reference(alpha, m, h):
+    """The residue-class Lambert sum at 80 digits, for alpha as given.
+
+    Summed term by term when alpha m > 0.05.  Below that, the Mellin
+    expansion (Bernoulli tail over the gamma_{m,h} main part, from mpmath's
+    digamma and Bernoulli functions) converges instead; its remainder is of
+    order exp(-4 pi^2 / (alpha m)), below 1e-340 there.
+    """
+    with mp.workdps(90):
+        a, eps = mp.mpf(alpha), mp.mpf(10) ** -85
+        if a * m > mp.mpf("0.05"):
+            x = mp.exp(-a)
+            q, step, total = x**h, x**m, mp.mpf(0)
+            while True:
+                term = q / (1 - q)
+                total += term
+                if term < eps * total:
+                    return total
+                q *= step
+        gamma = -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
+        total = (mp.log(1 / a) / m + mp.euler / m + gamma) / a
+        power = mp.mpf(1)
+        for k in range(400):
+            bk = mp.bernoulli(k + 1)
+            if bk:
+                term = -bk * mp.bernpoly(k + 1, mp.mpf(h) / m) * power / (
+                    mp.factorial(k + 1) * (k + 1))
+                total += term
+                if k > 2 and abs(term) < eps * abs(total):
+                    return total
+            power *= a * m
+        raise AssertionError(f"reference did not converge at alpha = {alpha}")
+
+
+def test_lambert_exact_every_digit_against_reference():
+    for text in ("0.1", "0.01", "0.001"):
+        with mp.workdps(EXTENDED.dps):
+            alpha = mp.mpf(text)  # the value the exact sum is given
+        for m in range(1, 7):
+            for h in range(1, m + 1):
+                value = lambert_tau_exact(alpha, m, h, EXTENDED)
+                ref = _lambert_reference(alpha, m, h)
+                with mp.workdps(90):
+                    assert abs(value - ref) < mp.mpf("1e-45") * ref, (text, m, h)
 
 
 def test_lambert_exact_validation():
@@ -293,7 +339,14 @@ def test_lambert_exact_validation():
         lambert_tau_exact(1, 3, 4)
     # exp(-alpha) resolves, but the sum would need over a million terms
     with pytest.raises(ValueError, match="too small"):
-        lambert_tau_exact("6e-5", 1, 1)
+        lambert_tau_exact("1e-10", 1, 1)
+    # about 3,000 hyperbola terms
+    with mp.workdps(EXTENDED.dps):
+        alpha = mp.mpf("6e-5")
+    value = lambert_tau_exact(alpha, 1, 1)
+    with mp.workdps(90):
+        ref = _lambert_reference(alpha, 1, 1)
+        assert abs(value - ref) < mp.mpf("1e-45") * ref
 
 
 def test_lambert_asymptotic_prediction_quality():
@@ -490,8 +543,11 @@ def test_lambert_rejects_unresolvable_alpha():
             lambert_tau_asymptotic(alpha, 2, 1)
     with pytest.raises(ValueError, match="finite"):
         lambert_tau_exact("inf", 2, 1)
-    # exp(-alpha) is 1 at working precision: every term would divide by zero
+    # past the term ceiling, or exp(-alpha) is 1 at the summing precision and
+    # every term would divide by zero
     with pytest.raises(ValueError, match="too small"):
         lambert_tau_exact("1e-60", 2, 1)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        lambert_tau_exact("1e-70", 2, 1)
     with pytest.raises(ValueError, match="too small"):
         lambert_tau_exact("1e-20", 1, 1, DOUBLE)

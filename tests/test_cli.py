@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import mpmath as mp
 import pytest
 
 import partsums
-from partsums import exact
+from partsums import asymptotics, exact
 from partsums.cli import main
 
 BFILE = Path(__file__).parent / "data" / "b000712_16.txt"
@@ -150,6 +151,22 @@ def test_expectation_and_convergence_print_one_rounded_mean(capsys):
     assert conv_row[2] == expe_row[4]
 
 
+def test_residual_keeps_every_printed_digit(capsys):
+    # n/m cancels about 6 leading digits of the mean at (32000, 3, 2)
+    n, m, i = 32000, 3, 2
+    code, out, _ = run(capsys, ["expectation", "--m", str(m), "--i", str(i),
+                                "--n", str(n), "--format", "json"])
+    assert code == 0
+    residual = json.loads(out)["rows"][0][4]
+    mean = exact.expected_subsum(n, m, i)
+    with mp.workdps(80):
+        rn = mp.sqrt(n)
+        c = asymptotics.c_coeff(m, i, replace(asymptotics.EXTENDED, dps=80))
+        ref = mp.mpf(mean.numerator) / mean.denominator - mp.mpf(n) / m - c * rn
+        assert asymptotics.b_coeff(m, i) == 0
+        assert abs(mp.mpf(residual) - ref) < mp.mpf("1e-49") * abs(ref)
+
+
 def test_expectation_rejects_small_n_before_the_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert run(capsys, ["expectation", "--m", "2", "--i", "1", "--n", "40",
@@ -219,6 +236,29 @@ def test_lambert_within_error_proxy(capsys):
     assert rows["within_2x_last_term"] is True
     assert rows["terms_used"] == "8"
     assert float(rows["abs_difference"]) <= 2 * float(rows["last_term_magnitude"])
+
+
+def test_lambert_double_check_is_not_failed_by_rounding(capsys):
+    # |exact - series| is 1.6e-24 and twice the last term 7.5e-20, far below
+    # the spacing of 56-bit numbers near 161.
+    code, out, _ = run(capsys, ["lambert", "--alpha", "0.01", "--m", "3",
+                                "--h", "2", "--precision", "double"])
+    assert code == 0
+    assert "within_2x_last_term  True" in out
+
+
+def test_lambert_double_grid_within_2x_last_term(capsys):
+    failures = []
+    for alpha in ("0.1", "0.05", "0.02", "0.01", "0.005", "0.002", "0.001"):
+        for m in range(1, 7):
+            for h in range(1, m + 1):
+                code, out, _ = run(capsys, [
+                    "lambert", "--alpha", alpha, "--m", str(m), "--h", str(h),
+                    "--precision", "double", "--format", "json"])
+                rows = dict(json.loads(out)["rows"]) if code == 0 else {}
+                if rows.get("within_2x_last_term") is not True:
+                    failures.append((alpha, m, h))
+    assert not failures
 
 
 def test_lambert_rejects_nonpositive_max_terms(capsys):
@@ -510,6 +550,15 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["f-table", "--n", "-3"])[0] == 2
     assert run(capsys, ["f-table", "--n", "5", "--format", "yaml"])[0] == 2
     assert run(capsys, ["f-table", "--n", "5", "--threads", "2"])[0] == 2  # unknown flag
+
+
+def test_usage_errors_show_the_subcommand_usage(capsys):
+    for argv in (["expectation", "--m", "2", "--i", "1", "--n", "-5"],
+                 ["theorem1", "--n-max", "2"], ["f-table", "--n", "-3"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"usage: partsums {argv[0]} "), err
 
 
 def test_traced_layers_resolve():
