@@ -7,44 +7,6 @@ the matching second-order asymptotics (with all constants evaluated by
 several independent routes), and the combinatorics tying the two together.
 """
 
-from .asymptotics import (
-    DOUBLE,
-    EXTENDED,
-    Precision,
-    SeriesEvaluation,
-    b_coeff,
-    bernoulli_numbers,
-    bernoulli_poly,
-    c_coeff,
-    c_coeff_via_gammas,
-    digamma_rational,
-    gamma_mh_digamma,
-    gamma_mh_gauss,
-    gamma_mh_roots,
-    hardy_ramanujan_leading,
-    lambert_tau_asymptotic,
-    lambert_tau_exact,
-    predict_expected_subsum,
-    tail_coefficient,
-)
-from .bijection import BijectionImage, forward, inverse
-from .exact import (
-    ConsistencyError,
-    DivisorSumTables,
-    SubsumDistribution,
-    a000712,
-    divisor_tables,
-    euler_identity_check,
-    expected_subsum,
-    f_table,
-    partition_counts,
-    restricted_counts,
-    s_sums_exact,
-    subsum_distribution,
-    theorem1_check,
-    total_subsum,
-    total_subsum_from_s_sums,
-)
-from .oracle import brute_distribution, brute_f, brute_total, partitions_of, x_statistic
+from . import asymptotics, bijection, exact, oracle
 
 __version__ = "0.1.0"

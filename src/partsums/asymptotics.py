@@ -419,9 +419,8 @@ def lambert_tau_asymptotic(
     Main part (1/m) alpha^-1 log(alpha^-1) + (gamma/m + gamma_{m,h}) alpha^-1,
     then the Bernoulli tail in powers of (alpha m).  The tail is truncated at
     max_terms or at the first magnitude increase among nonzero terms
-    (optimal truncation), whichever comes first.  The default cap of 8 keeps
-    the smallest retained term above the exactly-summable floor for the
-    alpha range this expansion is meant for (roughly alpha <= 0.5).
+    (optimal truncation), whichever comes first.  The default cap of 8 is
+    meant for the alpha range this expansion serves (roughly alpha <= 0.5).
 
     last_term_magnitude is the magnitude of the final retained nonzero term,
     the usual error proxy for an asymptotic series.  A warning is issued when

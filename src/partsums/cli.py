@@ -171,7 +171,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
     takes GUARD_DPS more and is rounded once.  b and c come first, so a bad
     class fails before any table work.
     """
-    m, i, prec = args.m, args.i, args.precision_obj
+    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
     guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)
     b = asymptotics.b_coeff(m, i, guarded)
     c = asymptotics.c_coeff(m, i, guarded)
@@ -186,7 +186,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
 
 
 def cmd_expectation(args) -> tuple[ReportRecord, int]:
-    m, i, prec = args.m, args.i, args.precision_obj
+    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
     rows = [
         (n, mean, approx, asymptotics.predict_expected_subsum(n, m, i, prec), residual)
         for n, mean, approx, residual in _class_means(args, sorted(set(args.n)))
@@ -210,13 +210,10 @@ def _ladder(n_max: int) -> list[int]:
 
 
 def cmd_convergence(args) -> tuple[ReportRecord, int]:
-    m, i, prec = args.m, args.i, args.precision_obj
-    ladder = _ladder(args.n_max)
-    if len(ladder) < 2:
-        raise UsageError("n-max must be at least 400 to form a ladder")
+    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
     rows = [
         (n, approx, r, abs(r) / mp.sqrt(n), abs(r) / mp.log(n))
-        for n, _, approx, r in _class_means(args, ladder)
+        for n, _, approx, r in _class_means(args, _ladder(args.n_max))
     ]
     improving = all(x[3] > y[3] or y[3] == 0 for x, y in zip(rows, rows[1:]))
     record = ReportRecord(
@@ -235,7 +232,7 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
 
 
 def cmd_constants(args) -> tuple[ReportRecord, int]:
-    m, prec = args.m, args.precision_obj
+    m, prec = args.m, asymptotics.precision_named(args.precision)
     rows = []
     worst = mp.mpf(0)
     total = mp.mpf(0)
@@ -273,7 +270,7 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
     Both sides get dps + GUARD_DPS digits past the last term, and more while
     their difference keeps fewer than dps + 3; printed values round once.
     """
-    prec = args.precision_obj
+    prec = asymptotics.precision_named(args.precision)
     alpha = mp.mpf(args.alpha)  # parsed once, at working precision
 
     def lost(small):  # leading digits that value - series cancels
@@ -398,11 +395,7 @@ def read_bfile(path: Path) -> list[tuple[int, int]]:
 def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
     entries = read_bfile(args.bfile)
     count = args.count if args.count is not None else len(entries)
-    params = {
-        "bfile": str(args.bfile),
-        "generator": args.generator,
-        "count": count,
-    }
+    params = {"bfile": str(args.bfile), "generator": "a000712", "count": count}
     if count > len(entries):
         params["warning"] = (
             f"requested {count} entries but the file holds {len(entries)}"
@@ -431,86 +424,103 @@ class UsageError(Exception):
     """Bad arguments or unusable input files; maps to exit status 2."""
 
 
+def _at_least(low: int, why: str = ""):
+    """An argparse type: an int that is >= low, else a usage error."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}{why}")
+        return value
+
+    check.__name__ = "int"  # argparse names it in "invalid int value"
+    return check
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """Rejects an option it does not take under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, []
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--precision", choices=("double", "extended"), default="extended",
-        help="working precision for floating-point results",
-    )
-    common.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="directory for persisted p-tables; a larger cached table "
-             "also serves smaller requests",
-    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                     help="output format (default: text)")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", choices=("double", "extended"),
+                           default="extended",
+                           help="working precision for floating-point results")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir", type=Path, default=None,
+                       help="directory for persisted p-tables; a larger cached "
+                            "table also serves smaller requests")
 
     parser = argparse.ArgumentParser(
         prog="partsums",
         description="Exact and asymptotic spaced subsums of integer partitions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
 
-    sp = sub.add_parser("f-table", parents=[common],
+    sp = sub.add_parser("f-table", parents=[fmt],
                         help="even-index subsum counts next to pair counts")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.set_defaults(handler=cmd_f_table)
 
-    sp = sub.add_parser("theorem1", parents=[common],
+    sp = sub.add_parser("theorem1", parents=[fmt],
                         help="locate the first f/pair-count mismatch per n")
-    sp.add_argument("--n-max", type=int, required=True)
+    sp.add_argument("--n-max", type=_at_least(3), required=True)
     sp.set_defaults(handler=cmd_theorem1)
 
-    sp = sub.add_parser("expectation", parents=[common],
+    sp = sub.add_parser("expectation", parents=[fmt, precision, cache],
                         help="exact mean subsum with its asymptotic prediction")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_at_least(1), required=True)
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--n", type=int, action="append", required=True,
+    sp.add_argument("--n", type=_at_least(1), action="append", required=True,
                     help="target weight; may be repeated")
     sp.set_defaults(handler=cmd_expectation)
 
-    sp = sub.add_parser("convergence", parents=[common],
+    sp = sub.add_parser("convergence", parents=[fmt, precision, cache],
                         help="residual trend along a geometric ladder")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_at_least(1), required=True)
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
+    sp.add_argument("--n-max", type=_at_least(400, " to form a ladder"),
+                    required=True)
     sp.set_defaults(handler=cmd_convergence)
 
-    sp = sub.add_parser("constants", parents=[common],
+    sp = sub.add_parser("constants", parents=[fmt, precision],
                         help="gamma constants by three routes, with b and c")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_at_least(1), required=True)
     sp.set_defaults(handler=cmd_constants)
 
-    sp = sub.add_parser("lambert", parents=[common],
+    sp = sub.add_parser("lambert", parents=[fmt, precision],
                         help="exact vs asymptotic residue-class Lambert series")
     sp.add_argument("--alpha", type=str, required=True,
                     help="positive rate parameter, parsed at working precision")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_at_least(1), required=True)
     sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--max-terms", type=int, default=8)
+    sp.add_argument("--max-terms", type=_at_least(1), default=8)
     sp.set_defaults(handler=cmd_lambert)
 
-    sp = sub.add_parser("bijection", parents=[common],
+    sp = sub.add_parser("bijection", parents=[fmt],
                         help="apply the subsum bijection in either direction")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--partition", type=str,
                        help="comma-separated parts; empty string for ()")
     group.add_argument("--alpha", type=str)
     sp.add_argument("--beta", type=str)
-    sp.add_argument("--n", type=int)
-    sp.set_defaults(handler=cmd_bijection)
+    sp.add_argument("--n", type=_at_least(0))
+    sp.set_defaults(handler=cmd_bijection, usage_error=sp.error)
 
-    sp = sub.add_parser("oeis-check", parents=[common],
-                        help="compare a generated sequence against a b-file")
+    sp = sub.add_parser("oeis-check", parents=[fmt],
+                        help="compare A000712 against a b-file")
     sp.add_argument("--bfile", type=Path, required=True)
-    sp.add_argument("--generator", choices=("a000712",), default="a000712")
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=_at_least(1), default=None)
     sp.set_defaults(handler=cmd_oeis_check)
-
-    for sp in sub.choices.values():  # usage errors name the subcommand
-        sp.set_defaults(usage_error=sp.error)
     return parser
 
 
@@ -518,35 +528,20 @@ def _format_partition(parts: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in parts) + ")"
 
 
-def _validate(args) -> None:
-    error = args.usage_error
-    if args.command == "bijection" and args.partition is None:
-        if args.alpha is None or args.beta is None or args.n is None:
-            error("inverse direction needs --alpha, --beta and --n")
-    if args.command == "theorem1" and args.n_max < 3:
-        error("--n-max must be at least 3")
-    if args.command == "f-table" and args.n < 0:
-        error("--n must be >= 0")
-    if args.command == "expectation" and min(args.n) < 1:
-        error("--n must be >= 1")
-    if args.command == "oeis-check" and args.count is not None and args.count < 1:
-        error("--count must be >= 1")
-    if args.command == "constants" and args.m < 1:
-        error("--m must be >= 1")
-    if args.command == "lambert" and args.max_terms < 1:
-        error("--max-terms must be >= 1")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args)
+        if args.command == "bijection" and args.partition is None and (
+                None in (args.alpha, args.beta, args.n)):
+            args.usage_error("inverse direction needs --alpha, --beta and --n")
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.precision_obj = asymptotics.precision_named(args.precision)
+    # subcommands without --precision compute no floating-point value
+    dps = (asymptotics.precision_named(args.precision).dps
+           if "precision" in args else mp.mp.dps)
     try:
-        with mp.workdps(args.precision_obj.dps):
+        with mp.workdps(dps):
             record, status = args.handler(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -558,7 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    emit(record, args.format, sys.stdout, args.precision_obj.dps)
+    emit(record, args.format, sys.stdout, dps)
     return status
 
 

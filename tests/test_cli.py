@@ -83,7 +83,7 @@ def test_theorem1_pass(capsys):
 def test_theorem1_rejects_small_range(capsys):
     code, _, err = run(capsys, ["theorem1", "--n-max", "2"])
     assert code == 2
-    assert "at least 3" in err
+    assert "argument --n-max: must be >= 3" in err
 
 
 def test_expectation_exact_fraction_roundtrips(capsys):
@@ -175,7 +175,7 @@ def test_expectation_rejects_small_n_before_the_cache(tmp_path, capsys):
                                   "--n", "-5", "--cache-dir", str(cache)])
     assert code == 2
     assert out == ""
-    assert "--n must be >= 1" in err
+    assert "argument --n: must be >= 1" in err
     assert "p-table" not in err
 
 
@@ -270,7 +270,7 @@ def test_lambert_rejects_nonpositive_max_terms(capsys):
         )
         assert code == 2
         assert out == ""
-        assert "--max-terms must be >= 1" in err
+        assert "argument --max-terms: must be >= 1" in err
 
 
 def test_lambert_without_error_proxy_is_usage_error(capsys):
@@ -355,7 +355,7 @@ def test_constants_rejects_nonpositive_modulus(capsys):
         code, out, err = run(capsys, ["constants", "--m", m])
         assert code == 2
         assert out == ""
-        assert "--m must be >= 1" in err
+        assert "argument --m: must be >= 1" in err
 
 
 def test_bijection_forward(capsys):
@@ -443,7 +443,7 @@ def test_oeis_check_rejects_nonpositive_count(capsys):
         )
         assert code == 2
         assert out == ""
-        assert "--count must be >= 1" in err
+        assert "argument --count: must be >= 1" in err
 
 
 def test_oeis_check_overlong_count_warns_in_parameters(capsys):
@@ -570,6 +570,36 @@ def test_traced_layers_resolve():
         assert callable(getattr(getattr(partsums, modname), fname, None)), fname
 
 
+SUBCOMMANDS = ("f-table", "theorem1", "expectation", "convergence", "constants",
+               "lambert", "bijection", "oeis-check")
+
+
+@pytest.mark.parametrize("argv", [
+    ["f-table", "--n", "5", "--precision", "double"],
+    ["theorem1", "--n-max", "12", "--cache-dir", "D"],
+    ["constants", "--m", "2", "--cache-dir", "D"],
+    ["lambert", "--alpha", "0.05", "--m", "3", "--h", "2", "--cache-dir", "D"],
+    ["bijection", "--partition", "1", "--precision", "double"],
+    ["bijection", "--alpha", "1", "--beta", "1", "--n", "-3"],
+    ["oeis-check", "--bfile", str(BFILE), "--generator", "a000712"],
+    ["expectation", "--m", "0", "--i", "1", "--n", "40", "--cache-dir", "D"],
+    ["convergence", "--m", "0", "--i", "1", "--n-max", "400", "--cache-dir", "D"],
+    ["convergence", "--m", "2", "--i", "1", "--n-max", "300", "--cache-dir", "D"],
+    ["lambert", "--alpha", "0.05", "--m", "0", "--h", "1"],
+])
+def test_subcommands_take_only_the_options_they_read(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: partsums {argv[0]} "), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_help_exits_cleanly(capsys):
     assert run(capsys, ["--help"])[0] == 0
-    assert run(capsys, ["lambert", "--help"])[0] == 0
+    for cmd in SUBCOMMANDS:
+        code, out, _ = run(capsys, [cmd, "--help"])
+        assert code == 0, cmd
+        assert out.startswith(f"usage: partsums {cmd} "), cmd
