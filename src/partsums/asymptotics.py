@@ -2,9 +2,10 @@
 
 High-precision arithmetic runs on mpmath; every routine takes a Precision
 switch and evaluates under that many working digits.  The residue-class
-log-constants gamma_{m,h} are available by three independent routes (a
-roots-of-unity sum, a closed real form, and a digamma reduction) so that
-agreement between them can be checked rather than assumed.
+log-constants gamma_{m,h} are available by three routes: a roots-of-unity
+sum, a closed real form, and a digamma reduction.  The closed real form
+(_gauss_gammas) and digamma_rational evaluate the same Gauss digamma
+formula, so only the roots-of-unity sum checks them independently.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ def _to_mpf(x: Real) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _omega_pow(m: int, t: int) -> mp.mpc:
-    """exp(2 pi i t / m), with the exponent reduced mod m exactly first."""
-    return mp.expjpi(mp.mpf(2 * (t % m)) / m)
-
-
 def _ensure_real(z: mp.mpc, precision: Precision, what: str) -> mp.mpf:
     if abs(z.imag) > precision.cross_tol:
         raise ConsistencyError(
@@ -88,7 +84,7 @@ def _unit_roots(m: int, dps: int) -> tuple[tuple[mp.mpc, ...], tuple[mp.mpc, ...
     per-term evaluation, so the sums over the table match it bit for bit.
     """
     with mp.workdps(dps):
-        roots = tuple(_omega_pow(m, t) for t in range(m))
+        roots = tuple(mp.expjpi(mp.mpf(2 * t) / m) for t in range(m))
         logs = tuple(mp.log(1 - w) for w in roots[1:])
         return roots, logs
 
@@ -239,16 +235,6 @@ def predict_expected_subsum(
         )
 
 
-def s_sum_prediction(n: int, precision: Precision = EXTENDED) -> mp.mpf:
-    """Leading asymptotics of S(n)/p(n) = sum tau(k) p(n-k)/p(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with mp.workdps(precision.dps):
-        glc = growth_constant()
-        rn = mp.sqrt(n)
-        return rn / glc * (mp.log(n) + 2 * euler_gamma() + 2 * mp.log(2 / glc))
-
-
 def sj_sum_prediction(
     n: int, m: int, h: int, precision: Precision = EXTENDED
 ) -> mp.mpf:
@@ -268,44 +254,31 @@ def sj_sum_prediction(
         return rn / (m * glc) * bracket
 
 
+def s_sum_prediction(n: int, precision: Precision = EXTENDED) -> mp.mpf:
+    """Leading asymptotics of S(n)/p(n) = sum tau(k) p(n-k)/p(n): S_1 at m = 1."""
+    return sj_sum_prediction(n, 1, 1, precision)
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli data
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BernoulliCache:
-    """Exact Bernoulli numbers B_0..B_count, B_1 = -1/2 convention."""
-
-    numbers: tuple[Fraction, ...]
-
-
 @lru_cache(maxsize=None)
-def _bernoulli_upto(count: int) -> BernoulliCache:
-    nums = [Fraction(1)]
-    for n in range(1, count + 1):
-        s = sum(math.comb(n + 1, k) * nums[k] for k in range(n))
-        nums.append(Fraction(-s, n + 1))
-    return BernoulliCache(tuple(nums))
-
-
-def bernoulli_numbers(count: int) -> BernoulliCache:
-    """Exact B_0..B_count from the defining recurrence."""
+def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
+    """Exact B_0..B_count, B_1 = -1/2 convention."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _bernoulli_upto(count)
+    return tuple(Fraction(*mp.bernfrac(k)) for k in range(count + 1))
 
 
-def bernoulli_poly(cache: BernoulliCache, n: int, x: Fraction) -> Fraction:
+def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k), exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= len(cache.numbers):
-        raise ValueError(f"cache holds B_0..B_{len(cache.numbers) - 1}")
+    numbers = bernoulli_numbers(n)
     x = Fraction(x)
-    return sum(
-        math.comb(n, k) * cache.numbers[k] * x ** (n - k) for k in range(n + 1)
-    )
+    return sum(math.comb(n, k) * numbers[k] * x ** (n - k) for k in range(n + 1))
 
 
 def tail_coefficient(idx: int, m: int, h: int) -> Fraction:
@@ -319,11 +292,10 @@ def tail_coefficient(idx: int, m: int, h: int) -> Fraction:
     if idx < 0:
         raise ValueError("idx must be >= 0")
     _check_mod_class(m, h)
-    cache = bernoulli_numbers(idx + 1)
-    b_num = cache.numbers[idx + 1]
+    b_num = bernoulli_numbers(idx + 1)[idx + 1]
     if b_num == 0:
         return Fraction(0)
-    b_val = bernoulli_poly(cache, idx + 1, Fraction(h, m))
+    b_val = bernoulli_poly(idx + 1, Fraction(h, m))
     return -b_num * b_val / (math.factorial(idx + 1) * (idx + 1))
 
 

@@ -62,25 +62,28 @@ def _cell_str(v):
 
 
 def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
+    with mp.workdps(dps):  # the one place a printed float is rounded
+        rows = [[+v if isinstance(v, mp.mpf) else v for v in row]
+                for row in record.rows]
     if fmt == "json":
         params = {k: _cell_json(v, dps) for k, v in record.parameters.items()}
         doc = {
             "kind": record.kind,
             "parameters": params,
             "columns": record.columns,
-            "rows": [[_cell_json(v, dps) for v in row] for row in record.rows],
+            "rows": [[_cell_json(v, dps) for v in row] for row in rows],
         }
         json.dump(doc, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(record.columns)
-        for row in record.rows:
+        for row in rows:
             writer.writerow([_cell_str(v) for v in row])
     else:
         params = ", ".join(f"{k}={_cell_str(v)}" for k, v in record.parameters.items())
         out.write(f"{record.kind} ({params})\n" if params else f"{record.kind}\n")
-        cells = [record.columns] + [[_cell_str(v) for v in row] for row in record.rows]
+        cells = [record.columns] + [[_cell_str(v) for v in row] for row in rows]
         widths = [max(len(r[c]) for r in cells) for c in range(len(record.columns))]
         for r in cells:
             out.write("  ".join(s.ljust(w) for s, w in zip(r, widths)).rstrip() + "\n")
@@ -164,38 +167,30 @@ def cmd_theorem1(args) -> tuple[ReportRecord, int]:
 
 
 def _class_means(args, ns: list[int]) -> Iterator[tuple]:
-    """Yield (n, exact mean, mean, residual) of the (--m, --i) class.
+    """Yield (n, exact mean, mean, prediction, residual) of the (--m, --i) class.
 
     The mean is the exact Fraction rounded once to working precision.  The
-    residual mean - n/m - b sqrt(n) log n - c sqrt(n) cancels digits, so it
-    takes GUARD_DPS more and is rounded once.  b and c come first, so a bad
-    class fails before any table work.
+    prediction and the residual mean - prediction, which cancels digits,
+    carry GUARD_DPS more; emit rounds them.  Every prediction comes first,
+    so a bad class fails before any table work.
     """
-    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
+    m, i, prec = args.m, args.i, args.precision
     guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)
-    b = asymptotics.b_coeff(m, i, guarded)
-    c = asymptotics.c_coeff(m, i, guarded)
+    predictions = [asymptotics.predict_expected_subsum(n, m, i, guarded) for n in ns]
     _p_table_cached(args.cache_dir, max(ns))
-    for n in ns:
+    for n, predicted in zip(ns, predictions):
         mean = exact.expected_subsum(n, m, i)
         with mp.workdps(guarded.dps):
-            rn = mp.sqrt(n)
-            residual = (mp.fdiv(mean.numerator, mean.denominator) - mp.mpf(n) / m
-                        - b * rn * mp.log(n) - c * rn)
-        yield n, mean, mp.fdiv(mean.numerator, mean.denominator), +residual
+            residual = mp.fdiv(mean.numerator, mean.denominator) - predicted
+        yield n, mean, mp.fdiv(mean.numerator, mean.denominator), predicted, residual
 
 
 def cmd_expectation(args) -> tuple[ReportRecord, int]:
-    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
-    rows = [
-        (n, mean, approx, asymptotics.predict_expected_subsum(n, m, i, prec), residual)
-        for n, mean, approx, residual in _class_means(args, sorted(set(args.n)))
-    ]
     record = ReportRecord(
         "expectation",
-        {"m": m, "i": i, "precision": prec.name},
+        {"m": args.m, "i": args.i, "precision": args.precision.name},
         ["n", "mean_exact", "mean", "predicted", "residual"],
-        rows,
+        list(_class_means(args, sorted(set(args.n)))),
     )
     return record, EXIT_OK
 
@@ -210,19 +205,18 @@ def _ladder(n_max: int) -> list[int]:
 
 
 def cmd_convergence(args) -> tuple[ReportRecord, int]:
-    m, i, prec = args.m, args.i, asymptotics.precision_named(args.precision)
-    rows = [
-        (n, approx, r, abs(r) / mp.sqrt(n), abs(r) / mp.log(n))
-        for n, _, approx, r in _class_means(args, _ladder(args.n_max))
-    ]
+    rows = []
+    for n, _, mean, _, r in _class_means(args, _ladder(args.n_max)):
+        with mp.extradps(asymptotics.GUARD_DPS):  # r carries the guard digits
+            rows.append((n, mean, r, abs(r) / mp.sqrt(n), abs(r) / mp.log(n)))
     improving = all(x[3] > y[3] or y[3] == 0 for x, y in zip(rows, rows[1:]))
     record = ReportRecord(
         "convergence",
         {
-            "m": m,
-            "i": i,
+            "m": args.m,
+            "i": args.i,
             "n_max": args.n_max,
-            "precision": prec.name,
+            "precision": args.precision.name,
             "improving": improving,
         },
         ["n", "mean", "residual", "abs_residual_over_sqrt_n", "abs_residual_over_log_n"],
@@ -232,7 +226,7 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
 
 
 def cmd_constants(args) -> tuple[ReportRecord, int]:
-    m, prec = args.m, asymptotics.precision_named(args.precision)
+    m, prec = args.m, args.precision
     rows = []
     worst = mp.mpf(0)
     total = mp.mpf(0)
@@ -270,7 +264,7 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
     Both sides get dps + GUARD_DPS digits past the last term, and more while
     their difference keeps fewer than dps + 3; printed values round once.
     """
-    prec = asymptotics.precision_named(args.precision)
+    prec = args.precision
     alpha = mp.mpf(args.alpha)  # parsed once, at working precision
 
     def lost(small):  # leading digits that value - series cancels
@@ -296,11 +290,11 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
         work = prec.dps + asymptotics.GUARD_DPS + lost(small)
     within = bool(diff <= 2 * last)
     rows = [
-        ("exact", +exact_value),
-        ("asymptotic", +series.value),
+        ("exact", exact_value),
+        ("asymptotic", series.value),
         ("abs_difference", diff),
         ("terms_used", series.terms_used),
-        ("last_term_magnitude", +last),
+        ("last_term_magnitude", last),
         ("within_2x_last_term", within),
     ]
     record = ReportRecord(
@@ -402,9 +396,8 @@ def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
         )
         count = len(entries)
     checked = entries[:count]
-    p = exact.partition_counts(checked[-1][0])
     first_bad = next(
-        (idx for idx, value in checked if exact.a000712(idx, p) != value), None
+        (idx for idx, value in checked if exact.a000712(idx) != value), None
     )
     rows = [
         ("entries_checked", len(checked)),
@@ -514,13 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alpha", type=str)
     sp.add_argument("--beta", type=str)
     sp.add_argument("--n", type=_at_least(0))
-    sp.set_defaults(handler=cmd_bijection, usage_error=sp.error)
+    sp.set_defaults(handler=cmd_bijection)
 
     sp = sub.add_parser("oeis-check", parents=[fmt],
                         help="compare A000712 against a b-file")
     sp.add_argument("--bfile", type=Path, required=True)
     sp.add_argument("--count", type=_at_least(1), default=None)
     sp.set_defaults(handler=cmd_oeis_check)
+    for sp in sub.choices.values():
+        sp.set_defaults(usage_error=sp.error)  # cross-option checks in main
     return parser
 
 
@@ -535,11 +530,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bijection" and args.partition is None and (
                 None in (args.alpha, args.beta, args.n)):
             args.usage_error("inverse direction needs --alpha, --beta and --n")
+        index = "h" if args.command == "lambert" else "i"
+        if index in args and not 1 <= getattr(args, index) <= args.m:
+            args.usage_error(f"residue index --{index} must lie in "
+                             f"1..{args.m}, got {getattr(args, index)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    # subcommands without --precision compute no floating-point value
-    dps = (asymptotics.precision_named(args.precision).dps
-           if "precision" in args else mp.mp.dps)
+    if "precision" in args:  # the others compute no floating-point value
+        args.precision = asymptotics.precision_named(args.precision)
+    dps = args.precision.dps if "precision" in args else mp.mp.dps
     try:
         with mp.workdps(dps):
             record, status = args.handler(args)

@@ -323,14 +323,11 @@ def euler_identity_check(n_max: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def a000712(j: int, p: Optional[Sequence[int]] = None) -> int:
-    """Pairs of partitions of total weight j (OEIS A000712); p holds p(0..j)."""
+def a000712(j: int) -> int:
+    """Pairs of partitions of total weight j (OEIS A000712)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    if p is None:
-        p = _p_values(j)
-    elif len(p) <= j:
-        raise ValueError("p-table too short for j")
+    p = _p_values(j)
     return sum(p[t] * p[j - t] for t in range(j + 1))
 
 
@@ -367,10 +364,9 @@ def theorem1_check(n: int) -> int:
         raise ValueError("n must be >= 0")
     hi = n // 2 + 1
     f = f_table(n) + [0]  # f(0, 1) = 0: at n = 0 the scan passes the table
-    p = _p_values(hi)
     first = None
     for j in range(hi + 1):
-        fj, aj = f[j], a000712(j, p)
+        fj, aj = f[j], a000712(j)
         if fj != aj and first is None:
             first = j
         if j > n // 3 and fj >= aj:

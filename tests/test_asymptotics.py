@@ -214,34 +214,34 @@ def test_predict_expected_subsum_identity_class():
 
 
 def test_bernoulli_numbers():
-    cache = bernoulli_numbers(12)
-    assert cache.numbers[0] == 1
-    assert cache.numbers[1] == Fraction(-1, 2)
-    assert cache.numbers[2] == Fraction(1, 6)
-    assert cache.numbers[12] == Fraction(-691, 2730)
-    assert all(cache.numbers[k] == 0 for k in range(3, 12, 2))
+    numbers = bernoulli_numbers(12)
+    assert numbers[0] == 1
+    assert numbers[1] == Fraction(-1, 2)
+    assert numbers[2] == Fraction(1, 6)
+    assert numbers[12] == Fraction(-691, 2730)
+    assert all(numbers[k] == 0 for k in range(3, 12, 2))
     with pytest.raises(ValueError):
         bernoulli_numbers(-1)
 
 
 def test_bernoulli_poly_identities():
-    cache = bernoulli_numbers(16)
+    numbers = bernoulli_numbers(16)
     x = Fraction(3, 7)
-    assert bernoulli_poly(cache, 1, x) == x - Fraction(1, 2)
+    assert bernoulli_poly(1, x) == x - Fraction(1, 2)
     for n in range(17):
-        assert bernoulli_poly(cache, n, Fraction(0)) == cache.numbers[n]
+        assert bernoulli_poly(n, Fraction(0)) == numbers[n]
         if n != 1:
-            assert bernoulli_poly(cache, n, Fraction(1)) == cache.numbers[n]
+            assert bernoulli_poly(n, Fraction(1)) == numbers[n]
         # halving identity: B_n(1/2) = (2^(1-n) - 1) B_n
-        assert bernoulli_poly(cache, n, Fraction(1, 2)) == (
+        assert bernoulli_poly(n, Fraction(1, 2)) == (
             Fraction(2) ** (1 - n) - 1
-        ) * cache.numbers[n]
+        ) * numbers[n]
     # forward difference: B_n(x+1) - B_n(x) = n x^(n-1)
     for n in range(1, 11):
-        diff = bernoulli_poly(cache, n, x + 1) - bernoulli_poly(cache, n, x)
+        diff = bernoulli_poly(n, x + 1) - bernoulli_poly(n, x)
         assert diff == n * x ** (n - 1)
     with pytest.raises(ValueError):
-        bernoulli_poly(cache, 17, x)
+        bernoulli_poly(-1, x)
 
 
 def test_tail_coefficient_values():

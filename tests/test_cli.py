@@ -167,6 +167,55 @@ def test_residual_keeps_every_printed_digit(capsys):
         assert abs(mp.mpf(residual) - ref) < mp.mpf("1e-49") * abs(ref)
 
 
+def _reference_cells(n, m, i):
+    """predicted, residual and the two ratios of (n, m, i) at 90 digits."""
+    at = replace(asymptotics.EXTENDED, dps=90)
+    mean = exact.expected_subsum(n, m, i)
+    with mp.workdps(90):
+        rn = mp.sqrt(n)
+        predicted = (mp.mpf(n) / m + asymptotics.b_coeff(m, i, at) * rn * mp.log(n)
+                     + asymptotics.c_coeff(m, i, at) * rn)
+        residual = mp.mpf(mean.numerator) / mean.denominator - predicted
+        return {"predicted": predicted, "residual": residual,
+                "abs_residual_over_sqrt_n": abs(residual) / rn,
+                "abs_residual_over_log_n": abs(residual) / mp.log(n)}
+
+
+# DOUBLE text cells that rounding twice leaves one unit off in the last digit
+ROUNDED_ONCE = {("125", "predicted"): "69.987419309325176",
+                ("125", "abs_residual_over_sqrt_n"): "0.0018047314179870316"}
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_printed_floats_are_rounded_once(capsys, precision):
+    dps = asymptotics.precision_named(precision).dps
+    checked = set()
+    for argv, m, i in (
+            (["expectation", "--m", "2", "--i", "1", "--n", "125", "--n", "8000"], 2, 1),
+            (["convergence", "--m", "5", "--i", "3", "--n-max", "2000"], 5, 3)):
+        for fmt, digits in (("text", 17), ("json", dps)):
+            code, out, _ = run(capsys, argv + ["--precision", precision,
+                                               "--format", fmt])
+            assert code == 0
+            if fmt == "json":
+                doc = json.loads(out)
+                columns, rows = doc["columns"], doc["rows"]
+            else:
+                lines = out.splitlines()[1:]
+                columns, rows = lines[0].split(), [s.split() for s in lines[1:]]
+            for row in rows:
+                cells = dict(zip(columns, row))
+                for col, ref in _reference_cells(int(row[0]), m, i).items():
+                    if col in cells:
+                        with mp.workdps(dps):
+                            assert cells[col] == mp.nstr(+ref, digits), (argv, row[0], col)
+                        checked.add((argv[0], fmt, col))
+                        pinned = (row[0], col)
+                        if (precision, fmt) == ("double", "text") and pinned in ROUNDED_ONCE:
+                            assert cells[col] == ROUNDED_ONCE[pinned]
+    assert len(checked) == 10  # 2 expectation and 3 convergence columns, 2 formats
+
+
 def test_expectation_rejects_small_n_before_the_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert run(capsys, ["expectation", "--m", "2", "--i", "1", "--n", "40",
@@ -586,6 +635,9 @@ SUBCOMMANDS = ("f-table", "theorem1", "expectation", "convergence", "constants",
     ["convergence", "--m", "0", "--i", "1", "--n-max", "400", "--cache-dir", "D"],
     ["convergence", "--m", "2", "--i", "1", "--n-max", "300", "--cache-dir", "D"],
     ["lambert", "--alpha", "0.05", "--m", "0", "--h", "1"],
+    ["expectation", "--m", "2", "--i", "5", "--n", "40", "--cache-dir", "D"],
+    ["convergence", "--m", "3", "--i", "0", "--n-max", "400", "--cache-dir", "D"],
+    ["lambert", "--alpha", "0.05", "--m", "3", "--h", "4"],
 ])
 def test_subcommands_take_only_the_options_they_read(argv, tmp_path, capsys,
                                                      monkeypatch):

@@ -186,8 +186,6 @@ def test_total_subsum_validation():
         exact.total_subsum(10, 2, 1, p=[1, 1, 2])  # table too short
     with pytest.raises(ValueError):
         exact.s_sums_exact(10, 2, p=[1, 1, 2])
-    with pytest.raises(ValueError):
-        exact.a000712(10, [1, 1, 2])
 
 
 def test_expected_subsum_small_case():
