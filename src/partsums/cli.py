@@ -95,24 +95,24 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
 
 
 def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> None:
-    """Seed the shared p-table from the smallest p-table-N.txt with N >= max_n.
+    """Seed the shared p-table from the smallest p-table-N.bin with N >= max_n.
 
     Only the p-table is kept on disk; totals are sums of its slices.  A
-    miss saves p-table-{max_n}.txt through a temporary file, so a failed
-    save leaves no partial table behind.  Without cache_dir nothing is
-    done: the shared table grows on first use.
+    damaged file fails its checksum: an error naming it.  A miss saves
+    p-table-{max_n}.bin through a temporary file, so a failed save leaves
+    no partial table behind.  Without cache_dir nothing is done.
     """
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
     sizes = {}
-    for path in cache_dir.glob("p-table-*.txt"):
-        size = path.name[len("p-table-"):-len(".txt")]
+    for path in cache_dir.glob("p-table-*.bin"):
+        size = path.name[len("p-table-"):-len(".bin")]
         if size.isdecimal() and int(size) >= max_n:
             sizes[int(size)] = path
     if sizes:
         path = sizes[min(sizes)]
-        with path.open() as fh:
+        with path.open("rb") as fh:
             try:
                 values = exact.load_p_table(fh, max_n)
             except ValueError as exc:
@@ -122,9 +122,9 @@ def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> None:
     values = exact.partition_counts(max_n)
     tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
     try:
-        with tmp.open("w") as fh:
+        with tmp.open("wb") as fh:
             exact.save_p_table(fh, values)
-        tmp.replace(cache_dir / f"p-table-{max_n}.txt")
+        tmp.replace(cache_dir / f"p-table-{max_n}.bin")
     finally:
         tmp.unlink(missing_ok=True)
 

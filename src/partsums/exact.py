@@ -3,18 +3,21 @@
 Everything in this module is arbitrary-precision integer or rational
 arithmetic; floating point never enters.  The statistic of interest, for a
 partition lambda = (a_1 >= a_2 >= ...) and a residue class i mod m, is the
-sum of the parts a_i, a_{i+m}, a_{i+2m}, ...  Totals over all partitions of
-n are computed from slices of the partition-count table rather than by
-enumeration; see enumeration in oracle.py for the brute-force ground truth
-used in tests.
+sum of the parts a_i, a_{i+m}, a_{i+2m}, ...  Nothing is enumerated (that
+ground truth is oracle.py's): the p-table recurrence and the totals over
+all partitions of n are column sums of slices of the p-table, added in C.
+p-tables persist on disk as checksummed binary files.
 """
 
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO
+from itertools import islice, repeat
+from operator import floordiv, mul
+from typing import BinaryIO, Iterable, Optional, Sequence, TextIO
 
 
 class ConsistencyError(Exception):
@@ -57,14 +60,19 @@ def _check_mod_class(m: int, i: int) -> None:
 
 _P_LOCK = threading.Lock()
 _P_VALUES: list[int] = [1]  # p(0), p(1), ...; grows monotonically
+_P_BLOCK = 128  # p-table values added per step of the recurrence
+_QUOTIENT_RUNS = 24  # total_subsum groups the divisors d with n // d <= this
+_IO_CHUNK = 512  # p-table slots encoded or decoded per write or read
+_P_HEADER = "p-table max_n={} width={}\n"  # a regex here adds 0.4 MB to peak RSS
+_P_TRAILER = b"crc32=%08x\n"  # the CRC-32 of the header and body
 
 
 def _pentagonal_offsets(max_n: int) -> tuple[list[int], list[int]]:
-    """Negated generalized pentagonal numbers g <= max_n, split by sign.
+    """Generalized pentagonal numbers g <= max_n, split by sign.
 
     g = k(3k -+ 1)/2 enters Euler's recurrence with sign (-1)^(k+1): the
-    first list holds -g for odd k (added terms), the second for even k
-    (subtracted terms).  Both lists are in order of increasing g.
+    first list holds g for odd k (added terms), the second for even k
+    (subtracted terms).  Both lists are increasing.
     """
     added: list[int] = []
     subtracted: list[int] = []
@@ -74,21 +82,17 @@ def _pentagonal_offsets(max_n: int) -> tuple[list[int], list[int]]:
         if g > max_n:
             return added, subtracted
         side = added if k % 2 else subtracted
-        side.append(-g)
+        side.append(g)
         if g + k <= max_n:
-            side.append(-(g + k))
+            side.append(g + k)
         k += 1
 
 
 def partition_counts(max_n: int) -> list[int]:
     """Return [p(0), ..., p(max_n)] via Euler's pentagonal recurrence.
 
-    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
-    While the table holds p(0..n-1) its length is n, so p(n - g) is
-    values[-g]; the generalized pentagonal numbers are therefore kept
-    negated, one list per sign, and each new p(n) is two C-level sums
-    over the offsets g <= n, with a cursor per list marking how many
-    offsets are in range.
+    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+    evaluated a block of new values at a time; see _p_values.
 
     The table grows in place in a process-wide cache guarded by a lock, so
     repeated calls share work.  This returns a copy that callers may
@@ -102,23 +106,36 @@ def partition_counts(max_n: int) -> list[int]:
 def _p_values(max_n: int) -> list[int]:
     """Grow the shared p-table through p(max_n) and return the shared list.
 
+    Each step appends p(n0..n0 + B - 1), B = _P_BLOCK.  Offsets B <= g <= n0
+    read known values only, so each sign's slices values[n0 - g:n0 - g + B]
+    are summed column by column.  The rest are summed per n, as values[-g]
+    while the table holds p(0..n-1), a cursor per sign marking the offsets
+    g <= n.  Growing from any length gives the same list.
+
     Package code reads it in place and never mutates it; it may run past
     p(max_n).  partition_counts hands out copies.
     """
     with _P_LOCK:
         values = _P_VALUES
-        if len(values) <= max_n:
-            added, subtracted = _pentagonal_offsets(max_n)
-            get = values.__getitem__
+        offsets = _pentagonal_offsets(max_n)
+        get = values.__getitem__
+        while len(values) <= max_n:
+            n0 = len(values)
+            width = min(_P_BLOCK, max_n + 1 - n0)
+            far = [map(sum, zip(repeat(0, width),  # the zero column keeps width
+                                *[values[n0 - g:n0 - g + width]
+                                  for g in side if _P_BLOCK <= g <= n0]))
+                   for side in offsets]
+            near_a, near_s = ([-g for g in side if not _P_BLOCK <= g <= n0]
+                              for side in offsets)
             a = s = 0
-            for n in range(len(values), max_n + 1):
-                while a < len(added) and added[a] >= -n:
+            for n, plus, minus in zip(range(n0, n0 + width), *far):
+                while a < len(near_a) and near_a[a] >= -n:
                     a += 1
-                while s < len(subtracted) and subtracted[s] >= -n:
+                while s < len(near_s) and near_s[s] >= -n:
                     s += 1
-                values.append(
-                    sum(map(get, added[:a])) - sum(map(get, subtracted[:s]))
-                )
+                values.append(plus - minus + sum(map(get, near_a[:a]))
+                              - sum(map(get, near_s[:s])))
         return values
 
 
@@ -134,7 +151,7 @@ def preload_partition_counts(values: Sequence[int]) -> None:
         if list(values[:n_check]) != _P_VALUES[:n_check]:
             raise ConsistencyError("supplied p-table disagrees with cached values")
         if len(values) > len(_P_VALUES):
-            _P_VALUES[:] = list(values)
+            _P_VALUES.extend(islice(values, len(_P_VALUES), None))  # no list copy
 
 
 def restricted_counts(max_n: int, max_j: int) -> list[list[int]]:
@@ -228,6 +245,10 @@ def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> i
     then over its multiples (the Lambert series swap), gives
     sum_{d<=n} floor((d + m - i) / m) (p(n - d) + p(n - 2d) + ...), where
     each inner sum is the slice p[n - d::-d]: no divisor sieve is needed.
+    The d with k = n // d <= _QUOTIENT_RUNS come in runs a..b sharing k;
+    across a run the terms p(n - j d) form the slice p[n - j b:n - j a + 1:j]
+    (d descending), so the run's inner sums are column sums of k slices,
+    weighted and added as a stream.
     p, if given, must hold p(0..n-1); by default the shared table is read.
     """
     if n < 0:
@@ -237,7 +258,14 @@ def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> i
         p = _p_values(n)
     elif len(p) < n:
         raise ValueError("p-table too short for n")
-    return sum((d + m - i) // m * sum(p[n - d::-d]) for d in range(1, n + 1))
+    shift, small = m - i, n // (_QUOTIENT_RUNS + 1)
+    total = sum((d + shift) // m * sum(p[n - d::-d]) for d in range(1, small + 1))
+    for k in range(1, min(_QUOTIENT_RUNS, n) + 1):
+        a, b = n // (k + 1) + 1, n // k
+        cols = [p[n - j * b:n - j * a + 1:j] for j in range(1, k + 1)]
+        weights = map(floordiv, range(b + shift, a + shift - 1, -1), repeat(m))
+        total += sum(map(mul, weights, map(sum, zip(*cols))))
+    return total
 
 
 def expected_subsum(n: int, m: int, i: int) -> Fraction:
@@ -425,47 +453,59 @@ def subsum_distribution(n: int, m: int, i: int) -> SubsumDistribution:
 # ---------------------------------------------------------------------------
 
 
-def save_p_table(fh: TextIO, values: Sequence[int]) -> None:
-    """Write a p-table as a header line plus one decimal value per line."""
+def save_p_table(fh: BinaryIO, values: Sequence[int]) -> None:
+    """Write a p-table as binary, encoding a chunk of values at a time.
+
+    The file is the line "p-table max_n=N width=W", then N + 1 unsigned
+    little-endian W-byte slots (W bytes hold p(N)), then the line
+    "crc32=XXXXXXXX", the CRC-32 of everything before it, in hex.
+    """
     if not values or values[0] != 1:
         raise ValueError("a p-table must start with p(0) = 1")
-    fh.write(f"p-table max_n={len(values) - 1}\n")
-    for v in values:
-        fh.write(f"{v}\n")
+    width = (values[-1].bit_length() + 7) // 8
+    head = _P_HEADER.format(len(values) - 1, width).encode()
+    fh.write(head)
+    crc = zlib.crc32(head)
+    for start in range(0, len(values), _IO_CHUNK):
+        chunk = b"".join([v.to_bytes(width, "little")
+                          for v in values[start:start + _IO_CHUNK]])
+        crc = zlib.crc32(chunk, crc)
+        fh.write(chunk)
+    fh.write(_P_TRAILER % crc)
 
 
-def load_p_table(fh: TextIO, max_n: Optional[int] = None) -> list[int]:
-    """Read a table written by save_p_table, validating the header.
+def load_p_table(fh: BinaryIO, max_n: Optional[int] = None) -> list[int]:
+    """Read a table written by save_p_table, checking length and checksum.
 
-    With max_n, read only p(0..max_n) from a table at least that long.
+    With max_n, decode only p(0..max_n), but still stream the whole file
+    through the checksum.  Each failure, or p(0) != 1, raises ValueError.
     """
     if max_n is not None and max_n < 0:
         raise ValueError("max_n must be >= 0")
-    header = fh.readline().strip()
-    if not header.startswith("p-table max_n="):
-        raise ValueError(f"not a p-table header: {header!r}")
+    head = fh.readline(80)
     try:
-        size = int(header.split("=", 1)[1])
+        size, width = (int(f.partition(b"=")[2]) for f in head.split()[1:])
     except ValueError:
-        raise ValueError(f"bad max_n in header: {header!r}") from None
-    stop = None if max_n is None else max_n + 1
+        size = width = -1
+    if size < 0 or width < 1 or head != _P_HEADER.format(size, width).encode():
+        raise ValueError(f"not a p-table header: {head[:40]!r}")
     if max_n is None:
         max_n = size
     elif max_n > size:
         raise ValueError(f"p-table holds max_n={size}, fewer than {max_n}")
-    values = []
-    for lineno, raw in enumerate(fh, 2):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            values.append(int(s))
-        except ValueError:
-            raise ValueError(f"line {lineno}: not an integer: {s!r}") from None
-        if len(values) == stop:
-            break
-    if len(values) != max_n + 1:
-        raise ValueError(f"expected {max_n + 1} values, found {len(values)}")
+    body, keep = (size + 1) * width, (max_n + 1) * width
+    expected, start = body + len(_P_TRAILER % 0), fh.tell()
+    found = fh.seek(0, 2) - fh.seek(start)  # fh must be seekable
+    if found != expected:
+        raise ValueError(f"expected {expected} bytes after the header, found {found}")
+    crc, values = zlib.crc32(head), []
+    for pos in range(0, body, width * _IO_CHUNK):
+        chunk = fh.read(min(width * _IO_CHUNK, body - pos))
+        crc = zlib.crc32(chunk, crc)
+        values += [int.from_bytes(chunk[j:j + width], "little")
+                   for j in range(0, min(len(chunk), keep - pos), width)]
+    if fh.read() != _P_TRAILER % crc:
+        raise ValueError("checksum mismatch: the table is damaged")
     if values[0] != 1:
         raise ValueError("p(0) must be 1")
     return values

@@ -235,7 +235,7 @@ def test_bad_class_is_rejected_before_table_work(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "residue index" in err
-    assert not list(cache.glob("p-table-*.txt"))
+    assert not list(cache.glob("p-table-*"))
 
 
 def test_convergence_needs_room_for_a_ladder(capsys):
@@ -536,7 +536,7 @@ def test_cache_dir_roundtrip(tmp_path, capsys):
             "--cache-dir", str(cache), "--format", "json"]
     code1, out1, _ = run(capsys, argv)
     assert code1 == 0
-    assert (cache / "p-table-400.txt").exists()
+    assert (cache / "p-table-400.bin").exists()
     assert not list(cache.glob("divisors-*"))
     code2, out2, _ = run(capsys, argv)
     assert code2 == 0
@@ -549,7 +549,7 @@ def test_cache_dir_serves_smaller_request_from_larger_table(tmp_path, capsys):
                               "--n-max", "1600", "--cache-dir", str(cache)])
     assert code == 0
     before = sorted(path.name for path in cache.iterdir())
-    assert before == ["p-table-1600.txt"]
+    assert before == ["p-table-1600.bin"]
     argv = ["expectation", "--m", "3", "--i", "2", "--n", "400", "--n", "57"]
     code1, cached, _ = run(capsys, argv + ["--cache-dir", str(cache)])
     code2, uncached, _ = run(capsys, argv)
@@ -562,7 +562,7 @@ def test_cache_dir_failed_save_leaves_no_table(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
 
     def failing_save(fh, values):
-        fh.write(f"p-table max_n={len(values) - 1}\n1\n")
+        fh.write(f"p-table max_n={len(values) - 1} width=1\n".encode() + b"\x01")
         raise OSError("disk full")
 
     argv = ["expectation", "--m", "2", "--i", "1", "--n", "300",
@@ -576,21 +576,56 @@ def test_cache_dir_failed_save_leaves_no_table(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert [path.name for path in cache.iterdir()] == ["p-table-300.txt"]
+    assert [path.name for path in cache.iterdir()] == ["p-table-300.bin"]
     assert out == run(capsys, argv[:-2])[1]
 
 
 def test_cache_dir_rejects_corrupt_table(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "p-table-200.txt").write_text("garbage\n")
+    (cache / "p-table-200.bin").write_text("garbage\n")
     code, _, err = run(
         capsys,
         ["expectation", "--m", "2", "--i", "1", "--n", "200",
          "--cache-dir", str(cache)],
     )
     assert code == 2
-    assert "p-table" in err
+    assert "p-table-200.bin" in err
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("edit", "checksum"), ("truncate", "bytes after the header")])
+def test_cache_dir_rejects_damaged_table(tmp_path, capsys, damage, reason):
+    cache = tmp_path / "cache"
+    argv = ["expectation", "--m", "2", "--i", "1", "--n", "200",
+            "--cache-dir", str(cache)]
+    assert run(capsys, argv)[0] == 0
+    table = cache / "p-table-200.bin"
+    data = bytearray(table.read_bytes())
+    if damage == "edit":  # one bit of p(148)
+        width = (exact.partition_counts(200)[200].bit_length() + 7) // 8
+        data[data.index(b"\n") + 1 + 148 * width] ^= 1
+    else:
+        del data[-1000:]
+    table.write_bytes(bytes(data))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert str(table) in err and reason in err
+
+
+def test_cache_dir_ignores_old_text_table(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old, text = cache / "p-table-400.txt", "p-table max_n=400\n" + "7\n" * 401
+    old.write_text(text)  # wrong values: reading them would exit 2
+    argv = ["expectation", "--m", "3", "--i", "2", "--n", "300"]
+    code, cached, _ = run(capsys, argv + ["--cache-dir", str(cache)])
+    assert code == 0
+    assert cached == run(capsys, argv)[1]
+    assert sorted(path.name for path in cache.iterdir()) == [
+        "p-table-300.bin", "p-table-400.txt"]
+    assert old.read_text() == text
 
 
 def test_usage_errors_exit_2(capsys):

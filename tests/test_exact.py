@@ -1,6 +1,7 @@
 """Tests for the exact integer engine, checked against enumeration."""
 
 import io
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,13 @@ def test_partition_counts_grows_cache_in_steps(monkeypatch):
     exact.preload_partition_counts(want[:37])
     assert exact.partition_counts(3000) == want
     assert exact._P_VALUES == want
+
+    # Blocks start wherever the table ends; lengths around the block size
+    # move which offsets are summed per n and which as slices.
+    block = exact._P_BLOCK
+    for length in (block - 1, block, block + 1, 2 * block + 1):
+        monkeypatch.setattr(exact, "_P_VALUES", want[:length])
+        assert exact._p_values(3000) == want, length
 
 
 def test_restricted_counts_basics():
@@ -175,6 +183,28 @@ def test_total_subsum_residues_cover_weight():
         for n in range(61):
             total = sum(exact.total_subsum(n, m, i, p=p) for i in range(1, m + 1))
             assert total == n * p[n]
+
+
+def _slice_sum_total(n, m, i, p):
+    # The one-line Lambert-swap sum, one slice per divisor d.
+    return sum((d + m - i) // m * sum(p[n - d::-d]) for d in range(1, n + 1))
+
+
+def test_total_subsum_matches_slice_sum():
+    p = exact.partition_counts(3001)
+    for n in range(80):
+        for m in range(1, 7):
+            for i in range(1, m + 1):
+                want = _slice_sum_total(n, m, i, p)
+                assert exact.total_subsum(n, m, i, p=p) == want, (n, m, i)
+                assert exact.total_subsum(n, m, i, p=p[:n]) == want, (n, m, i)
+    for n in (997, 3001):
+        for m in range(1, 7):
+            for i in range(1, m + 1):
+                want = _slice_sum_total(n, m, i, p)
+                assert exact.total_subsum(n, m, i, p=p[:n]) == want, (n, m, i)
+    p = exact.partition_counts(32001)
+    assert exact.total_subsum(32000, 3, 2, p=p) == _slice_sum_total(32000, 3, 2, p)
 
 
 def test_total_subsum_validation():
@@ -378,43 +408,63 @@ def test_restricted_counts_match_enumeration_random(n, j):
 
 def test_p_table_serialization_roundtrip():
     values = exact.partition_counts(64)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     exact.save_p_table(buf, values)
+    width = (values[64].bit_length() + 7) // 8
+    head = f"p-table max_n=64 width={width}\n".encode()
+    assert buf.getvalue().startswith(head)
+    assert len(buf.getvalue()) == len(head) + 65 * width + len("crc32=01234567\n")
     buf.seek(0)
     assert exact.load_p_table(buf) == values
 
 
 def test_p_table_serialization_errors():
     with pytest.raises(ValueError):
-        exact.save_p_table(io.StringIO(), [2, 3])
-    for text in (
-        "junk\n1\n",
-        "p-table max_n=oops\n1\n",
-        "p-table max_n=2\n1\n1\n",  # truncated
-        "p-table max_n=1\n1\nx\n",
-        "p-table max_n=1\n7\n1\n",
+        exact.save_p_table(io.BytesIO(), [2, 3])
+    buf = io.BytesIO()
+    exact.save_p_table(buf, [1, 1, 2])
+    good = buf.getvalue()
+    head_and_body = b"p-table max_n=2 width=1\n\x01\x01\x02"
+    assert good == head_and_body + b"crc32=%08x\n" % zlib.crc32(head_and_body)
+    for data in (
+        b"junk\n\x01crc32=00000000\n",
+        b"p-table max_n=oops width=1\n\x01",
+        b"p-table max_n=0 width=0\ncrc32=00000000\n",
+        b"p-table max_n=-1 width=1\n" + b"\x01" * 15,
+        b"p-table max_n=02 width=1\n\x01\x01\x02crc32=00000000\n",
+        b"p-table max_n=2 width=1 crc=0\n\x01\x01\x02crc32=00000000\n",
+        b"P-table max_n=2 width=1\n\x01\x01\x02crc32=00000000\n",
+        b"p-table max_n=2 width=1" + b"x" * 1000,  # no newline in reach
+        good[:-3],  # truncated
+        good + b"\n",  # trailing bytes
+        good.replace(b"\x02crc", b"\x03crc"),  # one value edited
+        good.replace(b"max_n=2 width=1\n\x01", b"max_n=2 width=1\n\x07"),
     ):
         with pytest.raises(ValueError):
-            exact.load_p_table(io.StringIO(text))
+            exact.load_p_table(io.BytesIO(data))
+    # p(0) != 1 with a matching checksum is still rejected
+    bad = b"p-table max_n=0 width=1\n\x07"
+    with pytest.raises(ValueError, match="p\\(0\\)"):
+        exact.load_p_table(io.BytesIO(bad + b"crc32=%08x\n" % zlib.crc32(bad)))
 
 
 def test_p_table_prefix_read():
     values = exact.partition_counts(64)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     exact.save_p_table(buf, values)
     for max_n in (0, 17, 64):
         buf.seek(0)
         assert exact.load_p_table(buf, max_n) == values[: max_n + 1]
-    # Reading stops after p(max_n): a damaged tail is never looked at.
-    damaged = buf.getvalue().replace(f"\n{values[40]}\n", "\nx\n")
-    assert exact.load_p_table(io.StringIO(damaged), 30) == values[:31]
-    with pytest.raises(ValueError, match="line"):
-        exact.load_p_table(io.StringIO(damaged), 50)
+    # The checksum covers the whole body: a damaged tail fails a prefix read.
+    damaged = bytearray(buf.getvalue())
+    damaged[-20] ^= 1
+    with pytest.raises(ValueError, match="checksum"):
+        exact.load_p_table(io.BytesIO(bytes(damaged)), 30)
     buf.seek(0)
     with pytest.raises(ValueError, match="fewer than 65"):
         exact.load_p_table(buf, 65)
-    with pytest.raises(ValueError, match="expected 4 values"):
-        exact.load_p_table(io.StringIO("p-table max_n=9\n1\n1\n2\n"), 3)
+    with pytest.raises(ValueError, match="bytes after the header"):
+        exact.load_p_table(io.BytesIO(buf.getvalue()[:-40]), 3)
     buf.seek(0)
     with pytest.raises(ValueError, match="max_n must be >= 0"):
         exact.load_p_table(buf, -1)
