@@ -2,10 +2,9 @@
 
 High-precision arithmetic runs on mpmath; every routine takes a Precision
 switch and evaluates under that many working digits.  The residue-class
-log-constants gamma_{m,h} are available by three routes: a roots-of-unity
-sum, a closed real form, and a digamma reduction.  The closed real form
-(_gauss_gammas) and digamma_rational evaluate the same Gauss digamma
-formula, so only the roots-of-unity sum checks them independently.
+log-constants gamma_{m,h} are available by three independent routes: a
+roots-of-unity sum, Gauss's closed real form (cotangent and log-sine sum),
+and a digamma reduction through mpmath's psi.
 """
 
 from __future__ import annotations
@@ -136,18 +135,17 @@ def gamma_mh_gauss(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
 
 
 def digamma_rational(p: int, q: int, precision: Precision = EXTENDED) -> mp.mpf:
-    """digamma at the rational point p/q, 1 <= p <= q, by Gauss's formula."""
+    """digamma at the rational point p/q, 1 <= p <= q, by mpmath's psi.
+
+    psi(x) = psi(x + 1) - 1/x up to a large x, then its Euler-Maclaurin
+    series there: no Gauss sum.  p = q gives -gamma exactly.
+    """
     if q < 1 or not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got p = {p}, q = {q}")
     with mp.workdps(precision.dps):
-        g = euler_gamma()
         if p == q:
-            return -g
-        acc = -g - mp.pi / 2 * mp.cot(mp.pi * p / q) - mp.log(2 * q)
-        for k in range(1, (q + 1) // 2 if q % 2 else q // 2):
-            c = mp.cospi(mp.mpf((2 * p * k) % (2 * q)) / q)
-            acc += 2 * c * mp.log(mp.sinpi(mp.mpf(k) / q))
-        return acc
+            return -euler_gamma()
+        return mp.digamma(mp.mpf(p) / q)
 
 
 def gamma_mh_digamma(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:

@@ -227,26 +227,25 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
 
 def cmd_constants(args) -> tuple[ReportRecord, int]:
     m, prec = args.m, args.precision
+    guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)  # emit rounds once
+    routes = {"roots-of-unity": asymptotics.gamma_mh_roots,
+              "gauss": asymptotics.gamma_mh_gauss,
+              "digamma": asymptotics.gamma_mh_digamma}
     rows = []
     worst = mp.mpf(0)
     total = mp.mpf(0)
-    for h in range(1, m + 1):
-        values = (
-            asymptotics.gamma_mh_roots(m, h, prec),
-            asymptotics.gamma_mh_gauss(m, h, prec),
-            asymptotics.gamma_mh_digamma(m, h, prec),
-        )
-        dev = max(abs(a - b) for a in values for b in values)
-        worst = max(worst, dev)
-        total += values[0]
-        rows.append((f"gamma[{h}] roots-of-unity", values[0]))
-        rows.append((f"gamma[{h}] gauss", values[1]))
-        rows.append((f"gamma[{h}] digamma", values[2]))
+    with mp.workdps(guarded.dps):
+        for h in range(1, m + 1):
+            values = [route(m, h, guarded) for route in routes.values()]
+            dev = max(abs(a - b) for a in values for b in values)
+            worst = max(worst, dev)
+            total += values[0]
+            rows += [(f"gamma[{h}] {name}", v) for name, v in zip(routes, values)]
     rows.append(("gamma_sum", total))
     rows.append(("max_cross_deviation", worst))
     for i in range(1, m + 1):
-        rows.append((f"b[{i}]", asymptotics.b_coeff(m, i, prec)))
-        rows.append((f"c[{i}]", asymptotics.c_coeff(m, i, prec)))
+        rows.append((f"b[{i}]", asymptotics.b_coeff(m, i, guarded)))
+        rows.append((f"c[{i}]", asymptotics.c_coeff(m, i, guarded)))
     ok = worst <= prec.cross_tol and abs(total) <= prec.cross_tol
     record = ReportRecord(
         "constants",

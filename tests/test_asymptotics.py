@@ -110,16 +110,6 @@ def test_digamma_rational_against_series_oracle():
             assert abs(digamma_rational(p, q) - oracle_psi(p, q)) < mp.mpf("1e-12")
 
 
-def test_digamma_rational_against_mpmath():
-    # Third route, independent of the package's own Euler constant.
-    with mp.workdps(50):
-        for q in range(1, 9):
-            for p in range(1, q + 1):
-                ours = digamma_rational(p, q)
-                ref = mp.digamma(mp.mpf(p) / q)
-                assert abs(ours - ref) < mp.mpf("1e-45")
-
-
 def test_digamma_rational_validation():
     for p, q in [(0, 3), (4, 3), (1, 0), (-1, 2)]:
         with pytest.raises(ValueError):

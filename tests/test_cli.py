@@ -274,6 +274,19 @@ def test_constants_double_precision(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("m", [17, 40, 64])
+def test_constants_routes_print_the_same_cell(capsys, m, precision):
+    code, out, _ = run(capsys, ["constants", "--m", str(m), "--precision",
+                                precision, "--format", "json"])
+    assert code == 0
+    rows = dict(json.loads(out)["rows"])
+    for h in range(1, m + 1):
+        cells = {rows[f"gamma[{h}] {route}"]
+                 for route in ("roots-of-unity", "gauss", "digamma")}
+        assert len(cells) == 1, (h, cells)
+
+
 def test_lambert_within_error_proxy(capsys):
     code, out, _ = run(
         capsys,
