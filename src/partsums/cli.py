@@ -551,7 +551,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    emit(record, args.format, sys.stdout, dps)
+    try:
+        emit(record, args.format, sys.stdout, dps)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early (`| head`): drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

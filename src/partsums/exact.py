@@ -4,9 +4,10 @@ Everything in this module is arbitrary-precision integer or rational
 arithmetic; floating point never enters.  The statistic of interest, for a
 partition lambda = (a_1 >= a_2 >= ...) and a residue class i mod m, is the
 sum of the parts a_i, a_{i+m}, a_{i+2m}, ...  Nothing is enumerated (that
-ground truth is oracle.py's): the p-table recurrence and the totals over
-all partitions of n are column sums of slices of the p-table, added in C.
-p-tables persist on disk as checksummed binary files.
+ground truth is oracle.py's).  The p-table recurrence sums p-table slices
+in C.  A total over all partitions of n is Euler's n p(n) = sum_k sigma(k)
+p(n - k) plus residue-class sums of slices of the partition table, split
+at isqrt(n).  p-tables persist on disk as checksummed binary files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import floordiv, mul
+from math import isqrt
 from typing import BinaryIO, Iterable, Optional, Sequence, TextIO
 
 
@@ -61,7 +62,6 @@ def _check_mod_class(m: int, i: int) -> None:
 _P_LOCK = threading.Lock()
 _P_VALUES: list[int] = [1]  # p(0), p(1), ...; grows monotonically
 _P_BLOCK = 128  # p-table values added per step of the recurrence
-_QUOTIENT_RUNS = 24  # total_subsum groups the divisors d with n // d <= this
 _IO_CHUNK = 512  # p-table slots encoded or decoded per write or read
 _P_HEADER = "p-table max_n={} width={}\n"  # a regex here adds 0.4 MB to peak RSS
 _P_TRAILER = b"crc32=%08x\n"  # the CRC-32 of the header and body
@@ -240,16 +240,15 @@ def _divisors_for(max_k: int, m: int) -> DivisorSumTables:
 def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> int:
     """Sum of the (m, i) spaced subsum over all partitions of n, exactly.
 
-    The total is sum_{k<=n} w(k) p(n - k) with the divisor kernel
-    w(k) = sum_{d | k} floor((d + m - i) / m).  Summing over each d first,
-    then over its multiples (the Lambert series swap), gives
-    sum_{d<=n} floor((d + m - i) / m) (p(n - d) + p(n - 2d) + ...), where
-    each inner sum is the slice p[n - d::-d]: no divisor sieve is needed.
-    The d with k = n // d <= _QUOTIENT_RUNS come in runs a..b sharing k;
-    across a run the terms p(n - j d) form the slice p[n - j b:n - j a + 1:j]
-    (d descending), so the run's inner sums are column sums of k slices,
-    weighted and added as a stream.
-    p, if given, must hold p(0..n-1); by default the shared table is read.
+    The total is sum_d floor((d + m - i) / m) T_d, T_d = sum(p[n - d::-d])
+    (the Lambert series swap).  With r = d mod m and Euler's identity
+    sum_d d T_d = n p(n), m total = n p(n) + sum_{r=1..m-1} (m [r >= i] - r)
+    S_r, S_r the sum of T_d over d = r mod m.  S_r is split at R = isqrt(n):
+    the d <= R add their slices; the d > R meet only multiples j d, and for
+    each j <= n // d0 (d0 the least d > R in class r) form p[n - j d0::-j m].
+    A sum not divisible by m raises ConsistencyError.  p must be the
+    partition table: p(0..n-1) at least, p(n) if absent coming from the
+    pentagonal recurrence.  By default the shared table is read.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -258,13 +257,20 @@ def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> i
         p = _p_values(n)
     elif len(p) < n:
         raise ValueError("p-table too short for n")
-    shift, small = m - i, n // (_QUOTIENT_RUNS + 1)
-    total = sum((d + shift) // m * sum(p[n - d::-d]) for d in range(1, small + 1))
-    for k in range(1, min(_QUOTIENT_RUNS, n) + 1):
-        a, b = n // (k + 1) + 1, n // k
-        cols = [p[n - j * b:n - j * a + 1:j] for j in range(1, k + 1)]
-        weights = map(floordiv, range(b + shift, a + shift - 1, -1), repeat(m))
-        total += sum(map(mul, weights, map(sum, zip(*cols))))
+    if len(p) > n:
+        acc = n * p[n]
+    else:  # p(n) by Euler's pentagonal recurrence
+        added, subtracted = _pentagonal_offsets(n)
+        acc = n * (sum(p[n - g] for g in added) - sum(p[n - g] for g in subtracted))
+    root = isqrt(n)
+    for r in range(1, m):
+        d0 = root + 1 + (r - root - 1) % m
+        s_r = (sum(sum(p[n - d::-d]) for d in range(r, root + 1, m))
+               + sum(sum(p[n - j * d0::-j * m]) for j in range(1, n // d0 + 1)))
+        acc += (m * (r >= i) - r) * s_r
+    total, rem = divmod(acc, m)
+    if rem:
+        raise ConsistencyError(f"n p(n) + the weighted S_r is not a multiple of {m}")
     return total
 
 

@@ -401,6 +401,19 @@ def test_python_m_partsums_runs_the_cli():
     assert proc.stdout == ""
 
 
+def test_closed_stdout_pipe_keeps_the_exit_status():
+    # The reader leaves after one line, as `| head -1` does.  The 107 kB
+    # table overruns the 64 kB pipe buffer, so the CLI is still writing then.
+    with subprocess.Popen(
+        [sys.executable, "-m", "partsums", "f-table", "--n", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"f-table (n=2000)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(n):
         raise ZeroDivisionError("injected")

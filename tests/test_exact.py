@@ -172,9 +172,12 @@ def test_total_subsum_against_enumeration():
 
 
 def test_total_subsum_m1_is_weighted_count():
+    # At m = 1 every weight is d, so the slice sum is sum_k sigma(k) p(n - k),
+    # which Euler's identity makes n p(n).
     p = exact.partition_counts(100)
     for n in range(1, 101):
-        assert exact.total_subsum(n, 1, 1, p=p) == n * p[n]
+        assert exact.total_subsum(n, 1, 1, p=p) == _slice_sum_total(n, 1, 1, p)
+        assert exact.total_subsum(n, 1, 1, p=p[:n]) == n * p[n]
 
 
 def test_total_subsum_residues_cover_weight():
@@ -185,26 +188,45 @@ def test_total_subsum_residues_cover_weight():
             assert total == n * p[n]
 
 
-def _slice_sum_total(n, m, i, p):
-    # The one-line Lambert-swap sum, one slice per divisor d.
-    return sum((d + m - i) // m * sum(p[n - d::-d]) for d in range(1, n + 1))
+def _slice_sums(n, p):
+    # T_d = p(n - d) + p(n - 2d) + ..., one slice per divisor d <= n.
+    return [sum(p[n - d::-d]) for d in range(1, n + 1)]
+
+
+def _slice_sum_total(n, m, i, p, slices=None):
+    # The one-line Lambert-swap sum, sum_d floor((d + m - i) / m) T_d.
+    t = _slice_sums(n, p) if slices is None else slices
+    return sum((d + m - i) // m * t[d - 1] for d in range(1, n + 1))
 
 
 def test_total_subsum_matches_slice_sum():
-    p = exact.partition_counts(3001)
-    for n in range(80):
+    p = exact.partition_counts(3602)
+    # n = k^2 - 1, k^2, k^2 + 1 move the split R = isqrt(n) and the least
+    # d > R in each residue class.
+    squares = {k * k + e for k in range(1, 61) for e in (-1, 0, 1)}
+    for n in sorted(set(range(80)) | squares | {997, 3001}):
+        slices = _slice_sums(n, p)
         for m in range(1, 7):
             for i in range(1, m + 1):
-                want = _slice_sum_total(n, m, i, p)
-                assert exact.total_subsum(n, m, i, p=p) == want, (n, m, i)
-                assert exact.total_subsum(n, m, i, p=p[:n]) == want, (n, m, i)
-    for n in (997, 3001):
-        for m in range(1, 7):
-            for i in range(1, m + 1):
-                want = _slice_sum_total(n, m, i, p)
+                want = _slice_sum_total(n, m, i, p, slices)
+                assert exact.total_subsum(n, m, i, p=p[:n + 1]) == want, (n, m, i)
                 assert exact.total_subsum(n, m, i, p=p[:n]) == want, (n, m, i)
     p = exact.partition_counts(32001)
-    assert exact.total_subsum(32000, 3, 2, p=p) == _slice_sum_total(32000, 3, 2, p)
+    slices = _slice_sums(32000, p)
+    for m in range(1, 5):
+        for i in range(1, m + 1):
+            want = _slice_sum_total(32000, m, i, p, slices)
+            assert exact.total_subsum(32000, m, i, p=p) == want, (m, i)
+
+
+def test_total_subsum_rejects_a_table_that_breaks_euler():
+    # With p(n) one too large at odd n, n p(n) + the weighted S_r is odd.
+    p = exact.partition_counts(200)
+    for n in (1, 3, 25, 199):
+        bad = p[:n] + [p[n] + 1]
+        for i in (1, 2):
+            with pytest.raises(ConsistencyError):
+                exact.total_subsum(n, 2, i, p=bad)
 
 
 def test_total_subsum_validation():
