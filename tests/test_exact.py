@@ -87,6 +87,24 @@ def test_partition_counts_grows_cache_in_steps(monkeypatch):
         assert exact._p_values(3000) == want, length
 
 
+def test_p_values_builds_no_offsets_without_growth(monkeypatch):
+    want = exact.partition_counts(600)
+    monkeypatch.setattr(exact, "_P_VALUES", want[:])
+
+    def no_offsets(max_n):
+        raise RuntimeError(f"offsets built for {max_n} without growth")
+
+    monkeypatch.setattr(exact, "_pentagonal_offsets", no_offsets)
+    for n in (0, 1, 599, 600):
+        assert exact._p_values(n) is exact._P_VALUES
+    # the default-table callers that read the shared list
+    total = exact.total_subsum(600, 3, 2)
+    assert total == exact.total_subsum(600, 3, 2, p=want)
+    assert exact.expected_subsum(600, 3, 2) == Fraction(total, want[600])
+    assert exact.a000712(300) == sum(want[t] * want[300 - t] for t in range(301))
+    assert exact._P_VALUES == want
+
+
 def test_restricted_counts_basics():
     table = exact.restricted_counts(10, 10)
     assert all(table[0][j] == 1 for j in range(11))
@@ -491,6 +509,30 @@ def test_p_table_prefix_read():
     with pytest.raises(ValueError, match="max_n must be >= 0"):
         exact.load_p_table(buf, -1)
     assert buf.tell() == 0  # rejected before reading anything
+
+
+def test_p_table_serialization_across_chunks():
+    # p(0..1300) spans several read chunks and unpack calls; the file is
+    # encoded here independently of save_p_table, which pins the format.
+    values = exact.partition_counts(1300)
+    width = (values[-1].bit_length() + 7) // 8
+    head_and_body = (f"p-table max_n=1300 width={width}\n".encode()
+                     + b"".join(v.to_bytes(width, "little") for v in values))
+    data = head_and_body + b"crc32=%08x\n" % zlib.crc32(head_and_body)
+    buf = io.BytesIO()
+    exact.save_p_table(buf, values)
+    assert buf.getvalue() == data
+    # reads and unpack calls end at multiples of their sizes: one step either side
+    edges = {k * size + d for size in (exact._IO_CHUNK, exact._UNPACK)
+             for k in range(1, 1300 // size + 1) for d in (-1, 0, 1)}
+    for max_n in sorted(edges | {0, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 1300}):
+        assert exact.load_p_table(io.BytesIO(data), max_n) == values[: max_n + 1], max_n
+    assert exact.load_p_table(io.BytesIO(data)) == values
+    # A flipped byte in the last chunk fails a prefix read of the first.
+    damaged = bytearray(data)
+    damaged[-20] ^= 1
+    with pytest.raises(ValueError, match="checksum"):
+        exact.load_p_table(io.BytesIO(bytes(damaged)), 10)
 
 
 def test_divisor_tables_serialization_roundtrip():
