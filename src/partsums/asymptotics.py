@@ -46,11 +46,6 @@ def precision_named(name: str) -> Precision:
         ) from None
 
 
-def euler_gamma() -> mp.mpf:
-    """Euler's constant, correct to the current working precision."""
-    return +mp.euler
-
-
 def growth_constant() -> mp.mpf:
     """The partition growth constant C = pi sqrt(2/3)."""
     return mp.pi * mp.sqrt(mp.mpf(2) / 3)
@@ -98,7 +93,7 @@ def _gauss_gammas(m: int, dps: int) -> tuple[mp.mpf, ...]:
     """
     with mp.workdps(dps):
         cosines = [mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
-        kmax = (m + 1) // 2 if m % 2 else m // 2
+        kmax = (m + 1) // 2
         logsines = [mp.log(mp.sinpi(mp.mpf(k) / m)) for k in range(1, kmax)]
         out = []
         for h in range(1, m):
@@ -144,7 +139,7 @@ def digamma_rational(p: int, q: int, precision: Precision = EXTENDED) -> mp.mpf:
         raise ValueError(f"need 1 <= p <= q, got p = {p}, q = {q}")
     with mp.workdps(precision.dps):
         if p == q:
-            return -euler_gamma()
+            return -mp.euler
         return mp.digamma(mp.mpf(p) / q)
 
 
@@ -153,7 +148,7 @@ def gamma_mh_digamma(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
         psi = digamma_rational(h, m, precision)
-        return -(euler_gamma() + mp.log(m) + psi) / m
+        return -(mp.euler + mp.log(m) + psi) / m
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,7 @@ def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
     with mp.workdps(precision.dps):
         glc = growth_constant()
         first = (
-            (euler_gamma() + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+            (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
         )
         if m == 1:
             return first
@@ -210,7 +205,7 @@ def c_coeff_via_gammas(m: int, i: int, precision: Precision = EXTENDED) -> mp.mp
     _check_mod_class(m, i)
     with mp.workdps(precision.dps):
         glc = growth_constant()
-        acc = (euler_gamma() + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+        acc = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
         for j in range(1, m):
             h = (i + j) % m or m
             acc -= 2 * mp.mpf(j) / m * gamma_mh_gauss(m, h, precision) / glc
@@ -245,16 +240,11 @@ def sj_sum_prediction(
         rn = mp.sqrt(n)
         bracket = (
             mp.log(n)
-            + 2 * euler_gamma()
+            + 2 * mp.euler
             + 2 * mp.log(2 / glc)
             + 2 * m * gamma_mh_gauss(m, h, precision)
         )
         return rn / (m * glc) * bracket
-
-
-def s_sum_prediction(n: int, precision: Precision = EXTENDED) -> mp.mpf:
-    """Leading asymptotics of S(n)/p(n) = sum tau(k) p(n-k)/p(n): S_1 at m = 1."""
-    return sj_sum_prediction(n, 1, 1, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +394,7 @@ def lambert_tau_asymptotic(
         a = _alpha_mpf(alpha)
         inv = 1 / a
         value = inv * mp.log(inv) / m
-        value += (euler_gamma() / m + gamma_mh_gauss(m, h, precision)) * inv
+        value += (mp.euler / m + gamma_mh_gauss(m, h, precision)) * inv
         am = a * m
         power = mp.mpf(1)
         prev_mag = None

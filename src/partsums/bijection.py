@@ -26,13 +26,6 @@ class BijectionImage:
     j: int
 
 
-def _from_multiplicities(mult: dict[int, int]) -> Partition:
-    parts: list[int] = []
-    for size in sorted(mult, reverse=True):
-        parts.extend([size] * mult[size])
-    return tuple(parts)
-
-
 def forward(parts: Iterable[int]) -> BijectionImage:
     """Map a partition to its (alpha, beta) pair.
 
@@ -42,23 +35,10 @@ def forward(parts: Iterable[int]) -> BijectionImage:
     """
     parts = check_partition(parts)
     n = sum(parts)
-
-    def at(t: int) -> int:
-        return parts[t - 1] if t <= len(parts) else 0
-
-    alpha_mult: dict[int, int] = {}
-    beta_mult: dict[int, int] = {}
-    t = 1
-    while 2 * t <= len(parts):
-        ma = at(2 * t) - at(2 * t + 1)
-        mb = at(2 * t + 1) - at(2 * t + 2)
-        if ma:
-            alpha_mult[t] = ma
-        if mb:
-            beta_mult[t] = mb
-        t += 1
-    alpha = _from_multiplicities(alpha_mult)
-    beta = _from_multiplicities(beta_mult)
+    a = (0, *parts, 0, 0)  # a[t] is a_t
+    top = range(len(parts) // 2, 0, -1)  # largest part first
+    alpha = tuple(t for t in top for _ in range(a[2 * t] - a[2 * t + 1]))
+    beta = tuple(t for t in top for _ in range(a[2 * t + 1] - a[2 * t + 2]))
     j = sum(alpha) + sum(beta)
     if j != sum(parts[1::2]):
         raise ConsistencyError("pair weight must equal the even-index subsum")

@@ -270,23 +270,22 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
         return int(max(mp.ceil(mp.log10(abs(series.value) / small)), 0))
 
     work = prec.dps + asymptotics.GUARD_DPS
-    series = asymptotics.lambert_tau_asymptotic(
-        alpha, args.m, args.h, args.max_terms, replace(prec, dps=work))
-    if not mp.isfinite(series.last_term_magnitude):
-        raise UsageError(f"--max-terms {args.max_terms} keeps no nonzero tail"
-                         " term, so there is no error proxy to check against")
-    work += lost(series.last_term_magnitude)
-    while True:
+    probe = True  # the first pass sizes work from the series alone
+    while True:  # one call site, so a truncation warning shows once
         at = replace(prec, dps=work)
         series = asymptotics.lambert_tau_asymptotic(
             alpha, args.m, args.h, args.max_terms, at)
-        last = series.last_term_magnitude
-        exact_value = asymptotics.lambert_tau_exact(alpha, args.m, args.h, at)
-        diff = abs(exact_value - series.value)  # rounded once, to dps
-        small = min(diff, last) or last
-        if work >= prec.dps + 3 + lost(small):
-            break
-        work = prec.dps + asymptotics.GUARD_DPS + lost(small)
+        last = small = series.last_term_magnitude
+        if not mp.isfinite(last):
+            raise UsageError(f"--max-terms {args.max_terms} keeps no nonzero tail"
+                             " term, so there is no error proxy to check against")
+        if not probe:
+            exact_value = asymptotics.lambert_tau_exact(alpha, args.m, args.h, at)
+            diff = abs(exact_value - series.value)  # rounded once, to dps
+            small = min(diff, last) or last
+            if work >= prec.dps + 3 + lost(small):
+                break
+        work, probe = prec.dps + asymptotics.GUARD_DPS + lost(small), False
     within = bool(diff <= 2 * last)
     rows = [
         ("exact", exact_value),

@@ -207,16 +207,12 @@ def divisor_tables(max_k: int, m: int, i: int) -> DivisorSumTables:
     _check_mod_class(m, i)
     tau_mod = [[0] * (max_k + 1) for _ in range(m + 1)]
     floor_sum = [0] * (max_k + 1)
-    half = max_k // 2
-    for d in range(1, half + 1):
-        row = tau_mod[d % m or m]  # canonical_residue inlined: ~4% faster
+    for d in range(1, max_k + 1):
+        row = tau_mod[canonical_residue(d, m)]
         w = (d + m - i) // m
         for k in range(d, max_k + 1, d):
             row[k] += 1
             floor_sum[k] += w
-    for d in range(half + 1, max_k + 1):  # k = d is the only multiple in range
-        tau_mod[d % m or m][d] += 1
-        floor_sum[d] += (d + m - i) // m
     tau = list(map(sum, zip(*tau_mod[1:])))  # every divisor has one residue
     return DivisorSumTables(max_k, m, i, tau, tau_mod, floor_sum)
 
@@ -249,22 +245,17 @@ def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> i
     S_r, S_r the sum of T_d over d = r mod m.  S_r is split at R = isqrt(n):
     the d <= R add their slices; the d > R meet only multiples j d, and for
     each j <= n // d0 (d0 the least d > R in class r) form p[n - j d0::-j m].
-    A sum not divisible by m raises ConsistencyError.  p must be the
-    partition table: p(0..n-1) at least, p(n) if absent coming from the
-    pentagonal recurrence.  By default the shared table is read.
+    A sum not divisible by m raises ConsistencyError.  p, if given, must
+    hold p(0..n); by default the shared table is read.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_mod_class(m, i)
     if p is None:
         p = _p_values(n)
-    elif len(p) < n:
+    elif len(p) <= n:
         raise ValueError("p-table too short for n")
-    if len(p) > n:
-        acc = n * p[n]
-    else:  # p(n) by Euler's pentagonal recurrence
-        added, subtracted = _pentagonal_offsets(n)
-        acc = n * (sum(p[n - g] for g in added) - sum(p[n - g] for g in subtracted))
+    acc = n * p[n]
     root = isqrt(n)
     for r in range(1, m):
         d0 = root + 1 + (r - root - 1) % m
@@ -334,13 +325,12 @@ def total_subsum_from_s_sums(
         raise ValueError("need exactly m residue sums")
     if sum(split) != s:
         raise ConsistencyError("residue sums do not add up to S")
-    acc = Fraction(n * p_n + (m - i) * s, m)
-    for j in range(1, m):
-        h = canonical_residue(i + j, m)
-        acc -= Fraction(j * split[h - 1], m)
-    if acc.denominator != 1:
+    acc = n * p_n + (m - i) * s - sum(
+        j * split[canonical_residue(i + j, m) - 1] for j in range(1, m))
+    total, rem = divmod(acc, m)
+    if rem:
         raise ConsistencyError("recombined total is not an integer")
-    return acc.numerator
+    return total
 
 
 def euler_identity_check(n_max: int) -> bool:

@@ -25,7 +25,6 @@ from partsums.asymptotics import (
     precision_named,
     predict_expected_subsum,
     ratio_prediction,
-    s_sum_prediction,
     sj_sum_prediction,
     tail_coefficient,
 )
@@ -411,7 +410,7 @@ def test_s_sum_predictions_remainder_bounded():
             with mp.workdps(50):
                 pn = mp.mpf(p[n])
                 log_n = mp.log(n)
-                assert abs(mp.mpf(total) / pn - s_sum_prediction(n)) <= mp.mpf("0.35") * log_n
+                assert abs(mp.mpf(total) / pn - sj_sum_prediction(n, 1, 1)) <= mp.mpf("0.35") * log_n
                 for h in range(1, m + 1):
                     got = mp.mpf(split[h - 1]) / pn
                     want = sj_sum_prediction(n, m, h)

@@ -57,12 +57,10 @@ def test_inverse_validation():
 
 def test_broken_invariants_raise_consistency_error(monkeypatch):
     # The checks must be real raises, not asserts that vanish under -O.
-    build = bijection._from_multiplicities
-    monkeypatch.setattr(
-        bijection, "_from_multiplicities", lambda mult: build(mult)[:-1]
-    )
+    # Unchecked, the parts (3, 1, 2) give beta = (1, 1) of weight 2 > 1.
+    monkeypatch.setattr(bijection, "check_partition", tuple)
     with pytest.raises(ConsistencyError):
-        forward((3, 2, 1))
+        forward((3, 1, 2))
     monkeypatch.undo()
 
     suffix = bijection._suffix_counts

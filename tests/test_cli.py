@@ -348,6 +348,21 @@ def test_lambert_without_error_proxy_is_usage_error(capsys):
     assert "--max-terms" in err
 
 
+def test_lambert_truncation_warning_shows_once():
+    # Under the default warning filters a warning shows once per call site,
+    # however many precisions the command tries.
+    env = _package_env()
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "partsums", "lambert", "--alpha", "40",
+         "--m", "1", "--h", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("lambert (alpha=40, m=1, h=1,")
+    assert proc.stderr.count("Lambert tail truncated at its first term") == 1
+
+
 def test_lambert_rejects_bad_alpha(capsys):
     code, _, err = run(capsys, ["lambert", "--alpha", "-1", "--m", "1", "--h", "1"])
     assert code == 2

@@ -194,8 +194,9 @@ def test_total_subsum_m1_is_weighted_count():
     # which Euler's identity makes n p(n).
     p = exact.partition_counts(100)
     for n in range(1, 101):
-        assert exact.total_subsum(n, 1, 1, p=p) == _slice_sum_total(n, 1, 1, p)
-        assert exact.total_subsum(n, 1, 1, p=p[:n]) == n * p[n]
+        assert exact.total_subsum(n, 1, 1, p=p) == _slice_sum_total(n, 1, 1, p) == n * p[n]
+        with pytest.raises(ValueError, match="too short"):
+            exact.total_subsum(n, 1, 1, p=p[:n])
 
 
 def test_total_subsum_residues_cover_weight():
@@ -228,7 +229,8 @@ def test_total_subsum_matches_slice_sum():
             for i in range(1, m + 1):
                 want = _slice_sum_total(n, m, i, p, slices)
                 assert exact.total_subsum(n, m, i, p=p[:n + 1]) == want, (n, m, i)
-                assert exact.total_subsum(n, m, i, p=p[:n]) == want, (n, m, i)
+                with pytest.raises(ValueError, match="too short"):
+                    exact.total_subsum(n, m, i, p=p[:n])
     p = exact.partition_counts(32001)
     slices = _slice_sums(32000, p)
     for m in range(1, 5):
@@ -407,8 +409,8 @@ def test_s_sums_recombination():
                 got = exact.total_subsum_from_s_sums(n, m, i, total, split, p[n])
                 assert got == want
     # Past n/2 each slice holds a single term, and the totals are big ints.
-    # total_subsum reads p(0..n-1) only: a table of length exactly n, and
-    # one longer than n + 1 at n = 997, give the same total.
+    # total_subsum needs p(0..n): a table longer than that at n = 997 gives
+    # the same total, and one of length n is rejected.
     p = exact.partition_counts(3001)
     for m in range(1, 7):
         tables = exact.divisor_tables(3001, m, 1)
@@ -417,7 +419,8 @@ def test_s_sums_recombination():
             for i in range(1, m + 1):
                 want = exact.total_subsum_from_s_sums(n, m, i, total, split, p[n])
                 assert exact.total_subsum(n, m, i, p=p) == want
-                assert exact.total_subsum(n, m, i, p=p[:n]) == want
+                with pytest.raises(ValueError, match="too short"):
+                    exact.total_subsum(n, m, i, p=p[:n])
 
 
 def test_s_sums_recombination_rejects_bad_input():

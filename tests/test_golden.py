@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of fast CLI runs against files in data/golden.
+"""Byte-for-byte stdout of fast CLI runs and of the demos against data/golden.
 
 Any change to an output byte shows up as a failure here and as a diff of
 the golden files.  After an intended output change, rewrite the files with
@@ -6,7 +6,9 @@ the golden files.  After an intended output change, rewrite the files with
 and commit the diff together with the change that caused it.
 """
 
+import doctest
 import json
+import runpy
 from pathlib import Path
 
 import mpmath as mp
@@ -17,6 +19,8 @@ from partsums.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 COMMANDS = {
     "f-table": (["f-table", "--n", "20"], False),
@@ -47,6 +51,19 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(DATA)
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_matches_golden(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"demo.{demo.stem}.out").read_bytes()
+
+
+def test_readme_examples():
+    """The README's library examples run and print what it shows."""
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted >= 11
+    assert result.failed == 0
 
 
 def _gamma(m, h):
@@ -137,3 +154,8 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0, argv
         (GOLDEN / name).write_bytes(buf.getvalue().encode())
+    for demo in DEMOS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            runpy.run_path(str(demo), run_name="__main__")
+        (GOLDEN / f"demo.{demo.stem}.out").write_bytes(buf.getvalue().encode())
