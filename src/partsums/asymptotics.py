@@ -71,55 +71,56 @@ def _ensure_real(z: mp.mpc, precision: Precision, what: str) -> mp.mpf:
 
 
 @lru_cache(maxsize=None)
-def _unit_roots(m: int, dps: int) -> tuple[tuple[mp.mpc, ...], tuple[mp.mpc, ...]]:
-    """omega^t for t = 0..m-1, and log(1 - omega^l) for l = 1..m-1 (index l - 1).
-
-    Each entry is the same mpmath call at the same precision as in a
-    per-term evaluation, so the sums over the table match it bit for bit.
-    """
+def _unit_roots(m: int, dps: int) -> tuple[tuple[mp.mpc, ...], ...]:
+    """omega^t (t = 0..m-1), then -log(1 - omega^l) and log(1 - omega^l)/(1 - omega^l)
+    (l = 1..m-1, index l - 1), each entry rounded once at dps digits."""
     with mp.workdps(dps):
         roots = tuple(mp.expjpi(mp.mpf(2 * t) / m) for t in range(m))
-        logs = tuple(mp.log(1 - w) for w in roots[1:])
-        return roots, logs
+        neglogs = tuple(-mp.log(1 - w) for w in roots[1:])
+        ratios = tuple(-g / (1 - w) for g, w in zip(neglogs, roots[1:]))
+        return roots, neglogs, ratios
 
 
 @lru_cache(maxsize=None)
 def _gauss_gammas(m: int, dps: int) -> tuple[mp.mpf, ...]:
     """gamma_{m,h} for h = 1..m (index h - 1) by the closed real form.
 
-    The cosine table cos(2 pi t / m), t = 0..m-1, and the log-sine table
-    log sin(pi k / m) are computed once for all h; each gamma is then summed
-    in the same order and precision as a single-h evaluation would be.
+    The cosine table -2 cos(2 pi t / m), t = 0..m-1, and the log-sine table
+    log sin(pi k / m) are computed once for all h; each h < m then takes
+    pi/2 cot(pi h/m) + log 2 + sum_k (-2 cos(2 pi h k/m)) log sin(pi k/m) as
+    one dot product, rounded once.
     """
     with mp.workdps(dps):
-        cosines = [mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
-        kmax = (m + 1) // 2
-        logsines = [mp.log(mp.sinpi(mp.mpf(k) / m)) for k in range(1, kmax)]
+        cosines = [-2 * mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
+        ks = range(1, (m + 1) // 2)
+        weights = [mp.pi / 2, mp.log(2), *(mp.log(mp.sinpi(mp.mpf(k) / m)) for k in ks)]
         out = []
         for h in range(1, m):
-            acc = mp.pi / 2 * mp.cot(mp.pi * h / m) + mp.log(2)
-            for k, ls in enumerate(logsines, 1):
-                acc -= 2 * cosines[(h * k) % m] * ls
-            out.append(acc / m)
+            terms = [mp.cot(mp.pi * h / m), 1, *(cosines[h * k % m] for k in ks)]
+            out.append(mp.fdot(terms, weights) / m)
         out.append(-mp.log(m) / m)
         return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _growth_terms(dps: int) -> tuple[mp.mpf, mp.mpf]:
+    """C and gamma + log(2/C) at dps digits."""
+    with mp.workdps(dps):
+        glc = growth_constant()
+        return glc, mp.euler + mp.log(2 / glc)
 
 
 def gamma_mh_roots(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     """gamma_{m,h} via the roots-of-unity sum.
 
-    (1/m) sum_{l=1..m-1} omega^{-h l} log(1/(1 - omega^l)) with omega the
-    primitive m-th root of unity.  The imaginary part must cancel; a residue
-    above the precision's tolerance raises ConsistencyError.
+    (1/m) sum_{l=1..m-1} omega^{-h l} log(1/(1 - omega^l)), omega = exp(2 pi i/m),
+    as one dot product.  The imaginary part must cancel; a residue above the
+    precision's tolerance raises ConsistencyError.
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        if m == 1:
-            return mp.mpf(0)
-        roots, logs = _unit_roots(m, precision.dps)
-        total = mp.mpc(0)
-        for el in range(1, m):
-            total += roots[(-h * el) % m] * (-logs[el - 1])
+        roots, neglogs, _ = _unit_roots(m, precision.dps)
+        total = mp.fdot([roots[-h * el % m] for el in range(1, m)], neglogs)
         return _ensure_real(total / m, precision, f"gamma_({m},{h}) roots sum")
 
 
@@ -167,7 +168,7 @@ def b_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
     if num == 0:
         return mp.mpf(0)
     with mp.workdps(precision.dps):
-        return num / (2 * growth_constant() * m)
+        return num / (2 * _growth_terms(precision.dps)[0] * m)
 
 
 def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -176,20 +177,15 @@ def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
     c_{m,i} = (gamma + log(2/C)) (m + 1 - 2i) / (C m)
               + (2/(C m)) sum_{l=1..m-1} omega^{-l(i-1)} log(1 - omega^l)
                                           / (1 - omega^l).
-    The l-sum pairs conjugate terms, so the imaginary part must cancel.
+    The l-sum is one dot product, rounded once, and pairs conjugate terms,
+    so the imaginary part must cancel.
     """
     _check_mod_class(m, i)
     with mp.workdps(precision.dps):
-        glc = growth_constant()
-        first = (
-            (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-        )
-        if m == 1:
-            return first
-        roots, logs = _unit_roots(m, precision.dps)
-        total = mp.mpc(0)
-        for el in range(1, m):
-            total += roots[(-el * (i - 1)) % m] * logs[el - 1] / (1 - roots[el])
+        glc, shift = _growth_terms(precision.dps)
+        first = shift * (m + 1 - 2 * i) / (glc * m)
+        roots, _, ratios = _unit_roots(m, precision.dps)
+        total = mp.fdot([roots[-el * (i - 1) % m] for el in range(1, m)], ratios)
         val = first + 2 * total / (glc * m)
         return _ensure_real(val, precision, f"c_({m},{i})")
 
@@ -200,16 +196,16 @@ def c_coeff_via_gammas(m: int, i: int, precision: Precision = EXTENDED) -> mp.mp
     Independent route used for cross-validation: push the S_h asymptotics
     through the residue recombination and collect the sqrt(n) coefficient,
     c = (gamma + log(2/C)) (m + 1 - 2i)/(C m)
-        - (2/C) sum_{j=1..m-1} (j/m) gamma_{m, i+j}  (residue folded to 1..m).
+        - (2/(C m)) sum_{j=1..m-1} j gamma_{m, i+j}  (residue folded to 1..m),
+    with the gammas read from the closed-form table.  The bracket times C m
+    is one dot product with integer weights, rounded once, then scaled once.
     """
     _check_mod_class(m, i)
     with mp.workdps(precision.dps):
-        glc = growth_constant()
-        acc = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-        for j in range(1, m):
-            h = (i + j) % m or m
-            acc -= 2 * mp.mpf(j) / m * gamma_mh_gauss(m, h, precision) / glc
-        return +acc
+        glc, shift = _growth_terms(precision.dps)
+        gammas = _gauss_gammas(m, precision.dps)
+        values = [shift] + [gammas[(i + j - 1) % m] for j in range(1, m)]
+        return mp.fdot([m + 1 - 2 * i, *range(-2, -2 * m, -2)], values) / (glc * m)
 
 
 def predict_expected_subsum(

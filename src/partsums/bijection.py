@@ -9,7 +9,6 @@ positions.  The inverse rebuilds lambda from suffix counts of the pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,8 +95,9 @@ def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
 
 def _suffix_counts(parts: Partition, top: int) -> list[int]:
     """suffix[k] = number of parts >= k, with suffix[top + 1] = 0."""
-    mult = Counter(parts)
     suffix = [0] * (top + 2)
+    for count, part in enumerate(parts, 1):  # parts decrease: count parts >= part
+        suffix[part] = count
     for k in range(top, 0, -1):
-        suffix[k] = suffix[k + 1] + mult.get(k, 0)
+        suffix[k] = suffix[k] or suffix[k + 1]
     return suffix

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import isqrt
+from operator import ge
 from typing import BinaryIO, Iterable, Optional, Sequence, TextIO
 
 
@@ -35,6 +36,9 @@ def check_partition(parts: Iterable[int]) -> Partition:
     Parts must be positive and weakly decreasing.  Returns a tuple.
     """
     out = tuple(parts)
+    # fast path in C: exact ints, weakly decreasing, the last one positive
+    if out and {*map(type, out)} == {int} and out[-1] >= 1 and all(map(ge, out, out[1:])):
+        return out
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"parts must be positive integers, got {x!r}")

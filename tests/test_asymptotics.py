@@ -417,64 +417,41 @@ def test_s_sum_predictions_remainder_bounded():
                     assert abs(got - want) <= mp.mpf("0.20") * log_n
 
 
-# Per-call forms of the roots-of-unity, closed-form and c sums, one
-# transcendental call per term as the library evaluated them before its
-# per-modulus tables.  The cached routes must reproduce them bit for bit,
-# which is what keeps CLI stdout byte-identical.
+# The table routes sum each constant as one dot product, rounded once.
+# Against 90-digit references they must stay within 2^-(prec - 7) of the
+# value (relative above 1), prec being the working precision in bits; the
+# worst error measured over these moduli is 57 units of 2^-prec.
+ACCURACY_MODULI = (*range(1, 41), 64, 97, 128)
 
 
-def _omega(m, t):
-    return mp.expjpi(mp.mpf(2 * (t % m)) / m)
-
-
-def _gamma_roots_per_call(m, h, precision):
-    with mp.workdps(precision.dps):
-        if m == 1:
-            return mp.mpf(0)
-        total = mp.mpc(0)
-        for el in range(1, m):
-            w = _omega(m, el)
-            total += _omega(m, -h * el) * (-mp.log(1 - w))
-        return (total / m).real
-
-
-def _gamma_gauss_per_call(m, h, precision):
-    with mp.workdps(precision.dps):
-        if h == m:
-            return -mp.log(m) / m
-        acc = mp.pi / 2 * mp.cot(mp.pi * h / m) + mp.log(2)
-        for k in range(1, (m + 1) // 2 if m % 2 else m // 2):
-            c = mp.cospi(mp.mpf((2 * h * k) % (2 * m)) / m)
-            acc -= 2 * c * mp.log(mp.sinpi(mp.mpf(k) / m))
-        return acc / m
-
-
-def _c_per_call(m, i, precision):
-    with mp.workdps(precision.dps):
+def _references_90(m):
+    """gamma_{m,h} from mpmath's psi, and c_{m,i} by the gamma-sum formula."""
+    with mp.workdps(90):
+        gammas = [-(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
+                  for h in range(1, m + 1)]
         glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-        first = (+mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-        if m == 1:
-            return first
-        total = mp.mpc(0)
-        for el in range(1, m):
-            w = _omega(m, el)
-            total += _omega(m, -el * (i - 1)) * mp.log(1 - w) / (1 - w)
-        return (first + 2 * total / (glc * m)).real
+        cs = []
+        for i in range(1, m + 1):
+            c = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
+            for j in range(1, m):
+                c -= 2 * mp.mpf(j) / m * gammas[(i + j - 1) % m] / glc
+            cs.append(c)
+        return gammas, cs
 
 
-def test_cached_routes_match_per_call_sums_bit_for_bit():
-    for precision in (DOUBLE, EXTENDED):
-        for m in range(1, 13):
-            for h in range(1, m + 1):
-                assert gamma_mh_roots(m, h, precision)._mpf_ == (
-                    _gamma_roots_per_call(m, h, precision)._mpf_
-                ), (m, h, precision.name)
-                assert gamma_mh_gauss(m, h, precision)._mpf_ == (
-                    _gamma_gauss_per_call(m, h, precision)._mpf_
-                ), (m, h, precision.name)
-                assert c_coeff(m, h, precision)._mpf_ == (
-                    _c_per_call(m, h, precision)._mpf_
-                ), (m, h, precision.name)
+def test_table_routes_within_seven_bits_of_90_digit_references():
+    for m in ACCURACY_MODULI:
+        gammas, cs = _references_90(m)
+        for precision in (DOUBLE, EXTENDED):
+            with mp.workdps(precision.dps):
+                unit = mp.ldexp(1, 7 - mp.mp.prec)
+            for route, refs in ((gamma_mh_roots, gammas), (gamma_mh_gauss, gammas),
+                                (c_coeff, cs), (c_coeff_via_gammas, cs)):
+                for k, ref in enumerate(refs, 1):
+                    got = route(m, k, precision)
+                    with mp.workdps(90):
+                        assert abs(got - ref) <= unit * max(1, abs(ref)), (
+                            route.__name__, m, k, precision.name)
 
 
 def _gamma_reference(m, h):
@@ -487,6 +464,7 @@ def test_extended_tables_survive_a_double_precision_fill():
     # first must not hand 16-digit entries to a later EXTENDED call.
     asymptotics._unit_roots.cache_clear()
     asymptotics._gauss_gammas.cache_clear()
+    asymptotics._growth_terms.cache_clear()
     moduli = (5, 11)
     for m in moduli:
         for h in range(1, m + 1):

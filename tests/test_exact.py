@@ -5,7 +5,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsums import exact, oracle
@@ -439,6 +439,52 @@ def test_check_partition():
     for bad in ([1, 2], [0], [-3], [2.5, 1], [True]):
         with pytest.raises(ValueError):
             exact.check_partition(bad)
+
+
+def _check_partition_loop(parts):
+    """check_partition without its fast path: one part at a time."""
+    out = tuple(parts)
+    for x in out:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise ValueError(f"parts must be positive integers, got {x!r}")
+    for a, b in zip(out, out[1:]):
+        if a < b:
+            raise ValueError("parts must be weakly decreasing")
+    return out
+
+
+class _Part(int):
+    """An int subclass: the fast path leaves it to the loop, which accepts it."""
+
+
+PART_VALUES = st.one_of(st.integers(-2, 6), st.booleans(),
+                        st.integers(1, 6).map(_Part), st.just(2.0))
+
+
+@settings(deadline=None)
+@given(st.lists(PART_VALUES, max_size=6), st.booleans(), st.booleans())
+@example([], False, False)
+@example([], False, True)
+@example([True], False, False)
+@example([3, False], False, False)
+@example([_Part(3), 1], False, False)
+@example([3, 0], False, False)
+@example([2, -1], False, False)
+@example([1, 2], False, False)
+@example([3, 2, 2], False, True)
+def test_check_partition_fast_path_matches_the_loop(values, decreasing, as_generator):
+    if decreasing:
+        values = sorted(values, reverse=True)
+
+    def outcome(check):
+        parts = (x for x in values) if as_generator else list(values)
+        try:
+            out = check(parts)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return out, [type(x) for x in out]
+
+    assert outcome(exact.check_partition) == outcome(_check_partition_loop)
 
 
 @settings(deadline=None)
