@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 import mpmath as mp
 
@@ -23,8 +22,7 @@ from .exact import ConsistencyError, _check_mod_class
 Real = Union[int, float, str, Fraction, mp.mpf]
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(NamedTuple):
     """Working precision plus the tolerance used by internal cross-checks."""
 
     name: str
@@ -354,8 +352,7 @@ def lambert_tau_exact(
         return +total
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     """An asymptotic series value with its truncation diagnostics."""
 
     value: mp.mpf

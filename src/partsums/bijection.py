@@ -9,14 +9,12 @@ positions.  The inverse rebuilds lambda from suffix counts of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import ConsistencyError, Partition, check_partition
 
 
-@dataclass(frozen=True)
-class BijectionImage:
+class BijectionImage(NamedTuple):
     """Image of a partition of n: a pair (alpha, beta) of total weight j."""
 
     alpha: Partition

@@ -8,15 +8,11 @@ format.  Exit status: 0 on success, 1 when a mathematical check failed,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-import traceback
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -31,14 +27,13 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class ReportRecord:
+class ReportRecord(NamedTuple):
     """One emitted result: a labeled table plus the invocation parameters."""
 
     kind: str
-    parameters: dict = field(default_factory=dict)
-    columns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    parameters: dict
+    columns: list
+    rows: list
 
 
 def _cell_json(v, dps: int):
@@ -66,6 +61,8 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
         rows = [[+v if isinstance(v, mp.mpf) else v for v in row]
                 for row in record.rows]
     if fmt == "json":
+        import json
+
         params = {k: _cell_json(v, dps) for k, v in record.parameters.items()}
         doc = {
             "kind": record.kind,
@@ -76,6 +73,8 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
         json.dump(doc, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(record.columns)
         for row in rows:
@@ -175,7 +174,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
     so a bad class fails before any table work.
     """
     m, i, prec = args.m, args.i, args.precision
-    guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)
+    guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)
     predictions = [asymptotics.predict_expected_subsum(n, m, i, guarded) for n in ns]
     _p_table_cached(args.cache_dir, max(ns))
     for n, predicted in zip(ns, predictions):
@@ -227,7 +226,7 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
 
 def cmd_constants(args) -> tuple[ReportRecord, int]:
     m, prec = args.m, args.precision
-    guarded = replace(prec, dps=prec.dps + asymptotics.GUARD_DPS)  # emit rounds once
+    guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)  # emit rounds once
     routes = {"roots-of-unity": asymptotics.gamma_mh_roots,
               "gauss": asymptotics.gamma_mh_gauss,
               "digamma": asymptotics.gamma_mh_digamma}
@@ -272,7 +271,7 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
     work = prec.dps + asymptotics.GUARD_DPS
     probe = True  # the first pass sizes work from the series alone
     while True:  # one call site, so a truncation warning shows once
-        at = replace(prec, dps=work)
+        at = prec._replace(dps=work)
         series = asymptotics.lambert_tau_asymptotic(
             alpha, args.m, args.h, args.max_terms, at)
         last = small = series.last_term_magnitude
@@ -547,6 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except Exception:
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

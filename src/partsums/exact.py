@@ -15,12 +15,11 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import isqrt
 from operator import ge
-from typing import BinaryIO, Iterable, Optional, Sequence, TextIO
+from typing import BinaryIO, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 
 class ConsistencyError(Exception):
@@ -184,8 +183,7 @@ def restricted_counts(max_n: int, max_j: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorSumTables:
+class DivisorSumTables(NamedTuple):
     """Sieved divisor data for 1..max_k for a modulus m and a class i.
 
     tau[k] counts all divisors of k.  tau_mod[h][k] counts divisors with
@@ -412,8 +410,7 @@ def theorem1_check(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsumDistribution:
+class SubsumDistribution(NamedTuple):
     """counts[k] = number of partitions of n whose (m, i) subsum equals k."""
 
     n: int

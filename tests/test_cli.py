@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,7 +160,7 @@ def test_residual_keeps_every_printed_digit(capsys):
     mean = exact.expected_subsum(n, m, i)
     with mp.workdps(80):
         rn = mp.sqrt(n)
-        c = asymptotics.c_coeff(m, i, replace(asymptotics.EXTENDED, dps=80))
+        c = asymptotics.c_coeff(m, i, asymptotics.EXTENDED._replace(dps=80))
         ref = mp.mpf(mean.numerator) / mean.denominator - mp.mpf(n) / m - c * rn
         assert asymptotics.b_coeff(m, i) == 0
         assert abs(mp.mpf(residual) - ref) < mp.mpf("1e-49") * abs(ref)
@@ -169,7 +168,7 @@ def test_residual_keeps_every_printed_digit(capsys):
 
 def _reference_cells(n, m, i):
     """predicted, residual and the two ratios of (n, m, i) at 90 digits."""
-    at = replace(asymptotics.EXTENDED, dps=90)
+    at = asymptotics.EXTENDED._replace(dps=90)
     mean = exact.expected_subsum(n, m, i)
     with mp.workdps(90):
         rn = mp.sqrt(n)
@@ -438,6 +437,45 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "ZeroDivisionError: injected" in err
+
+
+# Imports the CLI, then runs each argv in the same interpreter.  For each
+# step it prints the exit code, the watched modules that step loaded and
+# the argv.  Modules loaded before the import (a site hook's) never count.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+watched = {"dataclasses", "inspect", "csv", "json", "traceback"}
+seen = set(sys.modules)
+def step(code, argv):
+    global seen
+    added = watched & (set(sys.modules) - seen)
+    seen = set(sys.modules)
+    print(code, ",".join(sorted(added)), argv, sep="\t")
+from partsums.cli import main
+step(0, "import")
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv.split())
+    step(code, argv)
+"""
+
+
+def test_runs_import_only_the_modules_their_format_uses():
+    ladder = "convergence --m 3 --i 2 --n-max 400"
+    text_runs = [ladder, "expectation --m 3 --i 2 --n 400", "constants --m 5",
+                 "lambert --alpha 0.05 --m 3 --h 2", "f-table --n 20",
+                 "bijection --partition 5,4,2,2,1"]
+    json_run, csv_run = f"{ladder} --format json", f"{ladder} --format csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *text_runs, json_run, csv_run],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [line.split("\t") for line in proc.stdout.splitlines()]
+    expected = [("import", ""), *((argv, "") for argv in text_runs),
+                (json_run, "json"), (csv_run, "csv")]
+    assert [(argv, added) for _, added, argv in steps] == expected
+    assert {code for code, _, _ in steps} == {"0"}
 
 
 def test_constants_rejects_nonpositive_modulus(capsys):
