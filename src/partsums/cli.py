@@ -436,83 +436,72 @@ class _Subcommand(argparse.ArgumentParser):
         return namespace, []
 
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                     help="output format (default: text)")
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", choices=("double", "extended"),
-                           default="extended",
-                           help="working precision for floating-point results")
-    cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache-dir", type=Path, default=None,
-                       help="directory for persisted p-tables; a larger cached "
-                            "table also serves smaller requests")
+_FORMAT = ("--format", {"choices": ("json", "csv", "text"), "default": "text",
+                        "help": "output format (default: text)"})
+_PRECISION = ("--precision", {"choices": ("double", "extended"), "default": "extended",
+                              "help": "working precision for floating-point results"})
+_CACHE = ("--cache-dir", {"type": Path, "help": "directory for persisted p-tables; a "
+                          "larger cached table also serves smaller requests"})
+_M = ("--m", {"type": _at_least(1), "required": True})
+_I = ("--i", {"type": int, "required": True})
 
+# name -> (help, handler, argument specs); a list is a required either-or group
+COMMANDS = {
+    "f-table": ("even-index subsum counts next to pair counts", cmd_f_table,
+                [_FORMAT, ("--n", {"type": _at_least(0), "required": True})]),
+    "theorem1": ("locate the first f/pair-count mismatch per n", cmd_theorem1,
+                 [_FORMAT, ("--n-max", {"type": _at_least(3), "required": True})]),
+    "expectation": ("exact mean subsum with its asymptotic prediction", cmd_expectation,
+                    [_FORMAT, _PRECISION, _CACHE, _M, _I,
+                     ("--n", {"type": _at_least(1), "action": "append", "required": True,
+                              "help": "target weight; may be repeated"})]),
+    "convergence": ("residual trend along a geometric ladder", cmd_convergence,
+                    [_FORMAT, _PRECISION, _CACHE, _M, _I,
+                     ("--n-max", {"type": _at_least(400, " to form a ladder"),
+                                  "required": True})]),
+    "constants": ("gamma constants by three routes, with b and c", cmd_constants,
+                  [_FORMAT, _PRECISION, _M]),
+    "lambert": ("exact vs asymptotic residue-class Lambert series", cmd_lambert,
+                [_FORMAT, _PRECISION,
+                 ("--alpha", {"required": True, "help": "positive rate parameter, "
+                              "parsed at working precision"}),
+                 _M, ("--h", {"type": int, "required": True}),
+                 ("--max-terms", {"type": _at_least(1), "default": 8})]),
+    "bijection": ("apply the subsum bijection in either direction", cmd_bijection,
+                  [_FORMAT, [("--partition", {"help": "comma-separated parts; "
+                                                      "empty string for ()"}),
+                             ("--alpha", {})],
+                   ("--beta", {}), ("--n", {"type": _at_least(0)})]),
+    "oeis-check": ("compare A000712 against a b-file", cmd_oeis_check,
+                   [_FORMAT, ("--bfile", {"type": Path, "required": True}),
+                    ("--count", {"type": _at_least(1)})]),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The root parser with argv[0]'s subparser, or with all of them.
+
+    No argv, -h, -- or an unknown name gets every subparser, so the root
+    help and the invalid-choice error list them all.
+    """
     parser = argparse.ArgumentParser(
         prog="partsums",
         description="Exact and asymptotic spaced subsums of integer partitions",
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Subcommand)
-
-    sp = sub.add_parser("f-table", parents=[fmt],
-                        help="even-index subsum counts next to pair counts")
-    sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.set_defaults(handler=cmd_f_table)
-
-    sp = sub.add_parser("theorem1", parents=[fmt],
-                        help="locate the first f/pair-count mismatch per n")
-    sp.add_argument("--n-max", type=_at_least(3), required=True)
-    sp.set_defaults(handler=cmd_theorem1)
-
-    sp = sub.add_parser("expectation", parents=[fmt, precision, cache],
-                        help="exact mean subsum with its asymptotic prediction")
-    sp.add_argument("--m", type=_at_least(1), required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--n", type=_at_least(1), action="append", required=True,
-                    help="target weight; may be repeated")
-    sp.set_defaults(handler=cmd_expectation)
-
-    sp = sub.add_parser("convergence", parents=[fmt, precision, cache],
-                        help="residual trend along a geometric ladder")
-    sp.add_argument("--m", type=_at_least(1), required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--n-max", type=_at_least(400, " to form a ladder"),
-                    required=True)
-    sp.set_defaults(handler=cmd_convergence)
-
-    sp = sub.add_parser("constants", parents=[fmt, precision],
-                        help="gamma constants by three routes, with b and c")
-    sp.add_argument("--m", type=_at_least(1), required=True)
-    sp.set_defaults(handler=cmd_constants)
-
-    sp = sub.add_parser("lambert", parents=[fmt, precision],
-                        help="exact vs asymptotic residue-class Lambert series")
-    sp.add_argument("--alpha", type=str, required=True,
-                    help="positive rate parameter, parsed at working precision")
-    sp.add_argument("--m", type=_at_least(1), required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--max-terms", type=_at_least(1), default=8)
-    sp.set_defaults(handler=cmd_lambert)
-
-    sp = sub.add_parser("bijection", parents=[fmt],
-                        help="apply the subsum bijection in either direction")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--partition", type=str,
-                       help="comma-separated parts; empty string for ()")
-    group.add_argument("--alpha", type=str)
-    sp.add_argument("--beta", type=str)
-    sp.add_argument("--n", type=_at_least(0))
-    sp.set_defaults(handler=cmd_bijection)
-
-    sp = sub.add_parser("oeis-check", parents=[fmt],
-                        help="compare A000712 against a b-file")
-    sp.add_argument("--bfile", type=Path, required=True)
-    sp.add_argument("--count", type=_at_least(1), default=None)
-    sp.set_defaults(handler=cmd_oeis_check)
-    for sp in sub.choices.values():
-        sp.set_defaults(usage_error=sp.error)  # cross-option checks in main
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
+        help_text, handler, specs = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for spec in specs:
+            if isinstance(spec, list):
+                group = sp.add_mutually_exclusive_group(required=True)
+                for flag, kwargs in spec:
+                    group.add_argument(flag, **kwargs)
+            else:
+                sp.add_argument(spec[0], **spec[1])
+        # usage_error serves the cross-option checks in main
+        sp.set_defaults(handler=handler, usage_error=sp.error)
     return parser
 
 
@@ -521,7 +510,9 @@ def _format_partition(parts: Sequence[int]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.command == "bijection" and args.partition is None and (

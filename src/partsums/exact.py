@@ -241,12 +241,15 @@ def _divisors_for(max_k: int, m: int) -> DivisorSumTables:
 def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> int:
     """Sum of the (m, i) spaced subsum over all partitions of n, exactly.
 
-    The total is sum_d floor((d + m - i) / m) T_d, T_d = sum(p[n - d::-d])
-    (the Lambert series swap).  With r = d mod m and Euler's identity
+    The total is sum_d floor((d + m - i) / m) T_d, T_d = p(n - d) + p(n - 2d)
+    + ... (the Lambert series swap).  With r = d mod m and Euler's identity
     sum_d d T_d = n p(n), m total = n p(n) + sum_{r=1..m-1} (m [r >= i] - r)
     S_r, S_r the sum of T_d over d = r mod m.  S_r is split at R = isqrt(n):
-    the d <= R add their slices; the d > R meet only multiples j d, and for
-    each j <= n // d0 (d0 the least d > R in class r) form p[n - j d0::-j m].
+    the d <= R add their T_d; the d > R meet only multiples j d, and for
+    each j <= n // d0 (d0 the least d > R in class r) form the slice from
+    n - j d0 down in steps of j m.  From R down, T_d = T_qd + the p(n - kd)
+    with q not dividing k, for the least q of 2, 3 with qd <= R off class 0.
+    Each slice is summed from its small end, so most bigint adds stay short.
     A sum not divisible by m raises ConsistencyError.  p, if given, must
     hold p(0..n); by default the shared table is read.
     """
@@ -257,12 +260,18 @@ def total_subsum(n: int, m: int, i: int, p: Optional[Sequence[int]] = None) -> i
         p = _p_values(n)
     elif len(p) <= n:
         raise ValueError("p-table too short for n")
-    acc = n * p[n]
-    root = isqrt(n)
+    acc, root, t = n * p[n], isqrt(n), {}  # t[d] = T_d for d <= R off class 0
+    for d in range(root, 0, -1):
+        if d % m:
+            q = next((c for c in (2, 3) if c * d in t), 0)  # 0: no T_qd known
+            rungs = [(n - k * d, q * d) for k in range(1, q)] if q else [(n - d, d)]
+            t[d] = sum(sum(p[top % step:top + 1:step]) for top, step in rungs)
+            t[d] += t.get(q * d, 0)
     for r in range(1, m):
         d0 = root + 1 + (r - root - 1) % m
-        s_r = (sum(sum(p[n - d::-d]) for d in range(r, root + 1, m))
-               + sum(sum(p[n - j * d0::-j * m]) for j in range(1, n // d0 + 1)))
+        rungs = [(n - j * d0, j * m) for j in range(1, n // d0 + 1)]
+        s_r = sum(sum(p[top % step:top + 1:step]) for top, step in rungs)
+        s_r += sum(t[d] for d in range(r, root + 1, m))
         acc += (m * (r >= i) - r) * s_r
     total, rem = divmod(acc, m)
     if rem:

@@ -1,10 +1,12 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import contextlib
 import csv
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,10 +16,11 @@ import mpmath as mp
 import pytest
 
 import partsums
-from partsums import asymptotics, exact
+from partsums import asymptotics, cli, exact
 from partsums.cli import main
 
 BFILE = Path(__file__).parent / "data" / "b000712_16.txt"
+HELP_GOLDEN = Path(__file__).parent / "data" / "golden" / "help.txt"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
@@ -769,3 +772,64 @@ def test_help_exits_cleanly(capsys):
         code, out, _ = run(capsys, [cmd, "--help"])
         assert code == 0, cmd
         assert out.startswith(f"usage: partsums {cmd} "), cmd
+
+
+# Every help text and every top-level usage error, pinned byte for byte.
+HELP_RUNS = [["--help"], ["-h", "convergence"],
+             *([cmd, "--help"] for cmd in SUBCOMMANDS),
+             [], ["xyz"], ["convergenc", "--m", "3"], ["--"]]
+
+
+def _help_transcript():
+    """Each HELP_RUNS argv with its exit code, stdout and stderr."""
+    chunks = []
+    for argv in HELP_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        chunks.append(f"$ {' '.join(['partsums', *argv])}\nexit {code}\n"
+                      f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="later argparse releases reflow usage lines")
+def test_help_and_usage_errors_match_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    text = _help_transcript().replace("optional arguments:", "options:")  # 3.10
+    assert text == HELP_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("argv", [["-h", "convergence"], ["lambert", "--help"]])
+def test_entry_point_prints_what_main_prints(argv, capsys, monkeypatch):
+    """`python -m partsums` reaches main() with argv=None, read from sys.argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "partsums", *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert proc.stdout == out
+    if argv[0] == "-h":
+        assert re.findall(r"^    (\S+)", out, re.M) == list(SUBCOMMANDS)
+
+
+def test_readme_command_table_lists_every_flag():
+    """Each README row names its subcommand's flags; --format has one sentence."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section, re.M))
+    assert set(rows) == set(cli.COMMANDS)
+    for name, (_, _, specs) in cli.COMMANDS.items():
+        flags = {spec[0] for entry in specs
+                 for spec in (entry if isinstance(entry, list) else [entry])}
+        assert "--format" in flags, name
+        assert set(re.findall(r"`(--[\w-]+)`", rows[name])) == flags - {"--format"}, name
+    assert "All eight take `--format text|json|csv`" in section
+
+
+if __name__ == "__main__":  # rewrite the pinned help text after an intended change
+    os.environ["COLUMNS"] = "80"
+    HELP_GOLDEN.write_text(_help_transcript())
