@@ -44,11 +44,6 @@ def precision_named(name: str) -> Precision:
         ) from None
 
 
-def growth_constant() -> mp.mpf:
-    """The partition growth constant C = pi sqrt(2/3)."""
-    return mp.pi * mp.sqrt(mp.mpf(2) / 3)
-
-
 def _to_mpf(x: Real) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
@@ -102,9 +97,9 @@ def _gauss_gammas(m: int, dps: int) -> tuple[mp.mpf, ...]:
 
 @lru_cache(maxsize=None)
 def _growth_terms(dps: int) -> tuple[mp.mpf, mp.mpf]:
-    """C and gamma + log(2/C) at dps digits."""
+    """The growth constant C = pi sqrt(2/3) and gamma + log(2/C) at dps digits."""
     with mp.workdps(dps):
-        glc = growth_constant()
+        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
         return glc, mp.euler + mp.log(2 / glc)
 
 
@@ -162,11 +157,8 @@ def b_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
     so the central class of odd m gives an exact zero.
     """
     _check_mod_class(m, i)
-    num = m + 1 - 2 * i
-    if num == 0:
-        return mp.mpf(0)
     with mp.workdps(precision.dps):
-        return num / (2 * _growth_terms(precision.dps)[0] * m)
+        return (m + 1 - 2 * i) / (2 * _growth_terms(precision.dps)[0] * m)
 
 
 def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -230,7 +222,7 @@ def sj_sum_prediction(
         raise ValueError("n must be >= 1")
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        glc = growth_constant()
+        glc = _growth_terms(precision.dps)[0]
         rn = mp.sqrt(n)
         bracket = (
             mp.log(n)
@@ -390,7 +382,7 @@ def lambert_tau_asymptotic(
         value += (mp.euler / m + gamma_mh_gauss(m, h, precision)) * inv
         am = a * m
         power = mp.mpf(1)
-        prev_mag = None
+        prev_mag = mp.inf  # returned as is when no tail term is kept
         nonzero_used = 0
         terms_used = max_terms
         for idx in range(max_terms):
@@ -398,28 +390,24 @@ def lambert_tau_asymptotic(
             term = _to_mpf(coeff) * power
             if coeff != 0:
                 mag = abs(term)
-                if prev_mag is not None and mag > prev_mag:
+                if mag > prev_mag:
                     terms_used = idx
                     break
                 prev_mag = mag
                 nonzero_used += 1
             value += term
             power *= am
-        if prev_mag is None:
-            last_mag = mp.inf
-            if max_terms > 0:
-                warnings.warn(
-                    "Lambert tail produced no usable term", stacklevel=2
-                )
-        else:
-            last_mag = prev_mag
-            if nonzero_used == 1 and terms_used < max_terms:
-                warnings.warn(
-                    "Lambert tail truncated at its first term; alpha ="
-                    f" {mp.nstr(a, 8)} is too large for the asymptotic expansion",
-                    stacklevel=2,
-                )
-        return SeriesEvaluation(value, terms_used, last_mag)
+        if nonzero_used == 0 and max_terms > 0:
+            warnings.warn(
+                "Lambert tail produced no usable term", stacklevel=2
+            )
+        elif nonzero_used == 1 and terms_used < max_terms:
+            warnings.warn(
+                "Lambert tail truncated at its first term; alpha ="
+                f" {mp.nstr(a, 8)} is too large for the asymptotic expansion",
+                stacklevel=2,
+            )
+        return SeriesEvaluation(value, terms_used, prev_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +421,7 @@ def hardy_ramanujan_leading(n: int, precision: Precision = EXTENDED) -> mp.mpf:
         raise ValueError("n must be >= 1")
     with mp.workdps(precision.dps):
         rn = mp.sqrt(n)
-        return mp.e ** (growth_constant() * rn) / (4 * n * mp.sqrt(3))
+        return mp.e ** (_growth_terms(precision.dps)[0] * rn) / (4 * n * mp.sqrt(3))
 
 
 def ratio_prediction(n: int, k: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -441,4 +429,4 @@ def ratio_prediction(n: int, k: int, precision: Precision = EXTENDED) -> mp.mpf:
     if n < 1 or k < 0 or k > n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     with mp.workdps(precision.dps):
-        return mp.e ** (-growth_constant() * k / (2 * mp.sqrt(n)))
+        return mp.e ** (-_growth_terms(precision.dps)[0] * k / (2 * mp.sqrt(n)))

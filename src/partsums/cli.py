@@ -36,24 +36,12 @@ class ReportRecord(NamedTuple):
     rows: list
 
 
-def _cell_json(v, dps: int):
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, int):
-        return str(v)  # decimal strings keep big integers lossless
+def _cell(v, digits: int) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, mp.mpf):
-        return mp.nstr(v, dps)  # a float would keep only 17 digits
-    return v
-
-
-def _cell_str(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, mp.mpf):
-        return mp.nstr(v, 17)
-    return str(v)
+        return mp.nstr(v, digits)  # a float would keep only 17 digits
+    return str(v)  # decimal strings keep big integers lossless in JSON
 
 
 def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
@@ -63,12 +51,14 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
     if fmt == "json":
         import json
 
-        params = {k: _cell_json(v, dps) for k, v in record.parameters.items()}
+        def cell(v):
+            return v if isinstance(v, bool) else _cell(v, dps)
+
         doc = {
             "kind": record.kind,
-            "parameters": params,
+            "parameters": {k: cell(v) for k, v in record.parameters.items()},
             "columns": record.columns,
-            "rows": [[_cell_json(v, dps) for v in row] for row in rows],
+            "rows": [[cell(v) for v in row] for row in rows],
         }
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -78,11 +68,11 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
         writer = csv.writer(out)
         writer.writerow(record.columns)
         for row in rows:
-            writer.writerow([_cell_str(v) for v in row])
+            writer.writerow([_cell(v, 17) for v in row])
     else:
-        params = ", ".join(f"{k}={_cell_str(v)}" for k, v in record.parameters.items())
+        params = ", ".join(f"{k}={_cell(v, 17)}" for k, v in record.parameters.items())
         out.write(f"{record.kind} ({params})\n" if params else f"{record.kind}\n")
-        cells = [record.columns] + [[_cell_str(v) for v in row] for row in rows]
+        cells = [record.columns] + [[_cell(v, 17) for v in row] for row in rows]
         widths = [max(len(r[c]) for r in cells) for c in range(len(record.columns))]
         for r in cells:
             out.write("  ".join(s.ljust(w) for s, w in zip(r, widths)).rstrip() + "\n")
@@ -170,8 +160,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
 
     The mean is the exact Fraction rounded once to working precision.  The
     prediction and the residual mean - prediction, which cancels digits,
-    carry GUARD_DPS more; emit rounds them.  Every prediction comes first,
-    so a bad class fails before any table work.
+    carry GUARD_DPS more; emit rounds them.
     """
     m, i, prec = args.m, args.i, args.precision
     guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)
@@ -276,7 +265,7 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
             alpha, args.m, args.h, args.max_terms, at)
         last = small = series.last_term_magnitude
         if not mp.isfinite(last):
-            raise UsageError(f"--max-terms {args.max_terms} keeps no nonzero tail"
+            raise ValueError(f"--max-terms {args.max_terms} keeps no nonzero tail"
                              " term, so there is no error proxy to check against")
         if not probe:
             exact_value = asymptotics.lambert_tau_exact(alpha, args.m, args.h, at)
@@ -316,7 +305,7 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise UsageError(f"cannot parse partition from {text!r}") from None
+        raise ValueError(f"cannot parse partition from {text!r}") from None
     return exact.check_partition(parts)
 
 
@@ -408,10 +397,6 @@ def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
-
-
-class UsageError(Exception):
-    """Bad arguments or unusable input files; maps to exit status 2."""
 
 
 def _at_least(low: int, why: str = ""):
@@ -515,9 +500,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        if args.command == "bijection" and args.partition is None and (
-                None in (args.alpha, args.beta, args.n)):
-            args.usage_error("inverse direction needs --alpha, --beta and --n")
+        if args.command == "bijection":
+            if args.partition is None and None in (args.alpha, args.beta, args.n):
+                args.usage_error("inverse direction needs --alpha, --beta and --n")
+            if args.partition is not None and (args.beta, args.n) != (None, None):
+                args.usage_error("forward direction takes no --beta or --n")
         index = "h" if args.command == "lambert" else "i"
         if index in args and not 1 <= getattr(args, index) <= args.m:
             args.usage_error(f"residue index --{index} must lie in "
@@ -530,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with mp.workdps(dps):
             record, status = args.handler(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

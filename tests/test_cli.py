@@ -538,6 +538,15 @@ def test_bijection_inverse_needs_all_pieces(capsys):
     assert code == 2
 
 
+def test_bijection_forward_rejects_inverse_options(capsys):
+    for extra in (["--beta", "2", "--n", "9"], ["--beta", ""], ["--n", "0"]):
+        code, out, err = run(capsys, ["bijection", "--partition", "3,1", *extra])
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("usage: partsums bijection "), err
+        assert "takes no --beta or --n" in err
+
+
 def test_bijection_bad_partition_text(capsys):
     code, _, err = run(capsys, ["bijection", "--partition", "2,x"])
     assert code == 2
