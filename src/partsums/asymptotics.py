@@ -222,15 +222,9 @@ def sj_sum_prediction(
         raise ValueError("n must be >= 1")
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        glc = _growth_terms(precision.dps)[0]
-        rn = mp.sqrt(n)
-        bracket = (
-            mp.log(n)
-            + 2 * mp.euler
-            + 2 * mp.log(2 / glc)
-            + 2 * m * gamma_mh_gauss(m, h, precision)
-        )
-        return rn / (m * glc) * bracket
+        glc, shift = _growth_terms(precision.dps)
+        bracket = mp.log(n) + 2 * shift + 2 * m * gamma_mh_gauss(m, h, precision)
+        return mp.sqrt(n) / (m * glc) * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +362,11 @@ def lambert_tau_asymptotic(
     meant for the alpha range this expansion serves (roughly alpha <= 0.5).
 
     last_term_magnitude is the magnitude of the final retained nonzero term,
-    the usual error proxy for an asymptotic series.  A warning is issued when
-    truncation strikes immediately (only the constant tail term retained):
-    that signals alpha is too large for the expansion to be useful.
+    the usual error proxy for an asymptotic series.  When no nonzero tail
+    term is kept (max_terms = 0, or max_terms = 1 when m = 2h) it is inf and
+    no warning is issued.  A warning is issued when truncation strikes
+    immediately (only the constant tail term retained): that signals alpha
+    is too large for the expansion to be useful.
     """
     if max_terms < 0:
         raise ValueError("max_terms must be >= 0")
@@ -397,11 +393,7 @@ def lambert_tau_asymptotic(
                 nonzero_used += 1
             value += term
             power *= am
-        if nonzero_used == 0 and max_terms > 0:
-            warnings.warn(
-                "Lambert tail produced no usable term", stacklevel=2
-            )
-        elif nonzero_used == 1 and terms_used < max_terms:
+        if nonzero_used == 1 and terms_used < max_terms:
             warnings.warn(
                 "Lambert tail truncated at its first term; alpha ="
                 f" {mp.nstr(a, 8)} is too large for the asymptotic expansion",

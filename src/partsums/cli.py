@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -164,6 +165,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
     """
     m, i, prec = args.m, args.i, args.precision
     guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)
+    # predictions before the p-table is held: a ladder job peaks ~0.1 MB lower
     predictions = [asymptotics.predict_expected_subsum(n, m, i, guarded) for n in ns]
     _p_table_cached(args.cache_dir, max(ns))
     for n, predicted in zip(ns, predictions):
@@ -538,4 +540,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     raise SystemExit(main())

@@ -483,14 +483,14 @@ def save_p_table(fh: BinaryIO, values: Sequence[int]) -> None:
     fh.write(_P_TRAILER % crc)
 
 
-def load_p_table(fh: BinaryIO, max_n: Optional[int] = None) -> list[int]:
-    """Read a table written by save_p_table, checking length and checksum.
+def load_p_table(fh: BinaryIO, max_n: int) -> list[int]:
+    """Read p(0..max_n) from a table written by save_p_table.
 
-    With max_n, decode only p(0..max_n), _UNPACK slots per struct.unpack_from
-    mapped through int.from_bytes, but checksum the whole file.  Each
-    failure, or p(0) != 1, raises ValueError.
+    Decodes _UNPACK slots per struct.unpack_from mapped through
+    int.from_bytes, but checks the length and checksums the whole file.
+    Each failure, max_n past the table, or p(0) != 1 raises ValueError.
     """
-    if max_n is not None and max_n < 0:
+    if max_n < 0:
         raise ValueError("max_n must be >= 0")
     head = fh.readline(80)
     try:
@@ -499,9 +499,7 @@ def load_p_table(fh: BinaryIO, max_n: Optional[int] = None) -> list[int]:
         size = width = -1
     if size < 0 or width < 1 or head != _P_HEADER.format(size, width).encode():
         raise ValueError(f"not a p-table header: {head[:40]!r}")
-    if max_n is None:
-        max_n = size
-    elif max_n > size:
+    if max_n > size:
         raise ValueError(f"p-table holds max_n={size}, fewer than {max_n}")
     body, keep = (size + 1) * width, (max_n + 1) * width
     expected, start = body + len(_P_TRAILER % 0), fh.tell()

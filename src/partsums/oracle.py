@@ -58,30 +58,21 @@ def x_statistic(parts: Sequence[int], m: int, i: int) -> int:
     return sum(parts[i - 1 :: m])
 
 
-def _guard(n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration guard ({limit}); "
-            "pass a larger limit explicitly to force it"
-        )
-
-
-def brute_distribution(
-    n: int, m: int, i: int, limit: int = ORACLE_LIMIT
-) -> list[int]:
+def brute_distribution(n: int, m: int, i: int) -> list[int]:
     """Histogram counts[k] of the (m, i) subsum over all partitions of n."""
-    return brute_distributions(n, [(m, i)], limit)[(m, i)]
+    return brute_distributions(n, [(m, i)])[(m, i)]
 
 
 def brute_distributions(
-    n: int, pairs: Sequence[tuple[int, int]], limit: int = ORACLE_LIMIT
+    n: int, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], list[int]]:
     """Histograms for several (m, i) classes from a single enumeration pass."""
     if n < 0:
         raise ValueError("n must be >= 0")
     for m, i in pairs:
         _check_mod_class(m, i)
-    _guard(n, limit)
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the enumeration guard ({ORACLE_LIMIT})")
     out = {pair: [0] * (n + 1) for pair in pairs}
     for parts in partitions_of(n):
         for m, i in pairs:
@@ -89,15 +80,15 @@ def brute_distributions(
     return out
 
 
-def brute_total(n: int, m: int, i: int, limit: int = ORACLE_LIMIT) -> int:
+def brute_total(n: int, m: int, i: int) -> int:
     """Sum of the (m, i) subsum over all partitions of n."""
-    hist = brute_distribution(n, m, i, limit=limit)
+    hist = brute_distribution(n, m, i)
     return sum(k * c for k, c in enumerate(hist))
 
 
-def brute_f(n: int, j: int, limit: int = ORACLE_LIMIT) -> int:
+def brute_f(n: int, j: int) -> int:
     """Number of partitions of n whose even-index subsum equals j."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    hist = brute_distribution(n, 2, 2, limit=limit)
+    hist = brute_distribution(n, 2, 2)
     return hist[j] if j <= n else 0

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,8 +339,10 @@ def test_lambert_rejects_nonpositive_max_terms(capsys):
 
 
 def test_lambert_without_error_proxy_is_usage_error(capsys):
-    # At m = 2h the first tail coefficient is 0, so one term keeps nothing.
-    with pytest.warns(UserWarning, match="no usable term"):
+    # At m = 2h the first tail coefficient is 0, so one term keeps nothing;
+    # the usage error is the one report, with no warning beside it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(
             capsys,
             ["lambert", "--alpha", "0.05", "--m", "2", "--h", "1",
@@ -363,6 +366,25 @@ def test_lambert_truncation_warning_shows_once():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("lambert (alpha=40, m=1, h=1,")
     assert proc.stderr.count("Lambert tail truncated at its first term") == 1
+
+
+def test_cli_warning_and_error_print_one_line():
+    # entry() prints a warning like an error: one line, no source path
+    env = _package_env()
+    env.pop("PYTHONWARNINGS", None)
+    for argv, code, stderr in [
+        (["--alpha", "40", "--m", "1", "--h", "1"], 0,
+         "warning: Lambert tail truncated at its first term; alpha = 40.0 is"
+         " too large for the asymptotic expansion\n"),
+        (["--alpha", "0.3", "--m", "2", "--h", "1", "--max-terms", "1"], 2,
+         "error: --max-terms 1 keeps no nonzero tail term, so there is no"
+         " error proxy to check against\n"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "partsums", "lambert", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (code, stderr), argv
 
 
 def test_lambert_rejects_bad_alpha(capsys):

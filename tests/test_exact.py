@@ -504,7 +504,7 @@ def test_p_table_serialization_roundtrip():
     assert buf.getvalue().startswith(head)
     assert len(buf.getvalue()) == len(head) + 65 * width + len("crc32=01234567\n")
     buf.seek(0)
-    assert exact.load_p_table(buf) == values
+    assert exact.load_p_table(buf, 64) == values
 
 
 def test_p_table_serialization_errors():
@@ -530,11 +530,11 @@ def test_p_table_serialization_errors():
         good.replace(b"max_n=2 width=1\n\x01", b"max_n=2 width=1\n\x07"),
     ):
         with pytest.raises(ValueError):
-            exact.load_p_table(io.BytesIO(data))
+            exact.load_p_table(io.BytesIO(data), 0)
     # p(0) != 1 with a matching checksum is still rejected
     bad = b"p-table max_n=0 width=1\n\x07"
     with pytest.raises(ValueError, match="p\\(0\\)"):
-        exact.load_p_table(io.BytesIO(bad + b"crc32=%08x\n" % zlib.crc32(bad)))
+        exact.load_p_table(io.BytesIO(bad + b"crc32=%08x\n" % zlib.crc32(bad)), 0)
 
 
 def test_p_table_prefix_read():
@@ -576,7 +576,6 @@ def test_p_table_serialization_across_chunks():
              for k in range(1, 1300 // size + 1) for d in (-1, 0, 1)}
     for max_n in sorted(edges | {0, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 1300}):
         assert exact.load_p_table(io.BytesIO(data), max_n) == values[: max_n + 1], max_n
-    assert exact.load_p_table(io.BytesIO(data)) == values
     # A flipped byte in the last chunk fails a prefix read of the first.
     damaged = bytearray(data)
     damaged[-20] ^= 1

@@ -1,5 +1,8 @@
 """Tests for the enumeration oracle itself."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +95,21 @@ def test_enumeration_guard():
         oracle.brute_distribution(41, 2, 1)
     with pytest.raises(ValueError):
         oracle.brute_total(100, 2, 1)
-    # explicit limit overrides the guard
-    hist = oracle.brute_distribution(41, 1, 1, limit=41)
-    assert sum(hist) == exact.partition_counts(41)[41]
+
+
+def test_oracle_shares_no_route_with_the_package():
+    # The ground truth borrows only input checks and the Partition alias from
+    # exact, so it can never compute through the code it checks.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    borrowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "partsums" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["partsums", module]))
+            if module.split(".")[0] == "partsums":
+                assert module == "partsums.exact", module
+                borrowed |= {a.name for a in node.names}
+    assert borrowed <= {"Partition", "_check_mod_class", "check_partition"}
