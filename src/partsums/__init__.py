@@ -7,6 +7,6 @@ the matching second-order asymptotics (with all constants evaluated by
 several independent routes), and the combinatorics tying the two together.
 """
 
-from . import asymptotics, bijection, exact, oracle
+from . import asymptotics, bijection, exact
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import zlib
 from fractions import Fraction
 from itertools import islice, repeat
 from math import isqrt
-from operator import ge
+from operator import ge, mul
 from typing import BinaryIO, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 
@@ -374,18 +374,20 @@ def f_table(n: int) -> list[int]:
 
     Returned list has length n + 1; entries beyond j = floor(n/2) are zero
     since the even-index parts can carry at most half the weight.  Each
-    entry is assembled from pairs (partition of t, partition of j - t into
-    at most n - 2j parts).
+    entry sums pairs (partition of t, partition of j - t into at most
+    n - 2j parts).  Entries not summing to p(n) raise ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     half = n // 2
-    p = _p_values(half)
+    p = _p_values(n)
     bounded = restricted_counts(half, half)  # r <= half has at most half parts
     out = [0] * (n + 1)
     for j in range(half + 1):
         cap = min(n - 2 * j, half)
         out[j] = sum(p[t] * bounded[j - t][cap] for t in range(j + 1))
+    if sum(out) != p[n]:
+        raise ConsistencyError(f"f({n}, j) does not sum to p({n})")
     return out
 
 
@@ -437,24 +439,32 @@ def subsum_distribution(n: int, m: int, i: int) -> SubsumDistribution:
     (weight, statistic) pair per height.  The knapsack is packed: row wt
     holds its whole statistic axis in one int, count k at bit k * width,
     so adding a height is one shift-and-add per row.  No count exceeds
-    p(n) < 2^(width - 1), so slots never carry into each other.  The
-    returned counts cover statistic values 0..n.
+    p(n) < 2^(width - 1), so slots never carry into each other.  Height s
+    adds to row n from row n - s, and later heights read only lower rows,
+    so each height updates rows s..n - s, then row n.  The counts cover
+    statistic values 0..n; they must sum to p(n) and have total_subsum's
+    first moment, or ConsistencyError is raised.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_mod_class(m, i)
-    width = _p_values(n)[n].bit_length() + 1
+    pn = _p_values(n)[n]
+    width = pn.bit_length() + 1
     dp = [0] * (n + 1)
     dp[0] = 1
     for s in range(1, n + 1):
         a, b = divmod(s - 1, m)  # s = a*m + (b + 1) with residue b + 1 in 1..m
         shift = (a + (1 if b + 1 >= i else 0)) * width
-        for wt in range(s, n + 1):
+        for wt in range(s, n - s + 1):
             dp[wt] += dp[wt - s] << shift
+        dp[n] += dp[n - s] << shift
     row, mask = dp[n], (1 << width) - 1
-    return SubsumDistribution(
-        n, m, i, [(row >> (k * width)) & mask for k in range(n + 1)]
-    )
+    counts = [(row >> (k * width)) & mask for k in range(n + 1)]
+    if sum(counts) != pn:
+        raise ConsistencyError(f"distribution counts do not sum to p({n})")
+    if sum(map(mul, range(n + 1), counts)) != total_subsum(n, m, i):
+        raise ConsistencyError("distribution's first moment is not the slice total")
+    return SubsumDistribution(n, m, i, counts)
 
 
 # ---------------------------------------------------------------------------

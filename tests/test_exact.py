@@ -374,6 +374,62 @@ def test_subsum_distribution_first_moment():
     assert sum(k * c for k, c in enumerate(counts)) == exact.total_subsum(120, 2, 1)
 
 
+def _full_table_distribution(n, m, i):
+    # The knapsack as it was before rows past n - s were skipped: every
+    # row is updated at every height.
+    width = exact.partition_counts(n)[n].bit_length() + 1
+    dp = [1] + [0] * n
+    for s in range(1, n + 1):
+        a, b = divmod(s - 1, m)
+        shift = (a + (1 if b + 1 >= i else 0)) * width
+        for wt in range(s, n + 1):
+            dp[wt] += dp[wt - s] << shift
+    return [(dp[n] >> (k * width)) & ((1 << width) - 1) for k in range(n + 1)]
+
+
+def test_subsum_distribution_matches_the_full_table_loop():
+    # Odd and even n both reach the boundary height s = n // 2, where the
+    # rows updated (s..n - s) shrink to one or none.
+    for n in (0, 1, 2, 3, 36, 37, 120, 121):
+        for m in range(1, 7):
+            for i in range(1, m + 1):
+                want = _full_table_distribution(n, m, i)
+                assert exact.subsum_distribution(n, m, i).counts == want
+
+
+def test_distribution_moment_check_raises(monkeypatch):
+    # The checks must be real raises, not asserts that vanish under -O.
+    total = exact.total_subsum(30, 3, 2)
+    monkeypatch.setattr(exact, "total_subsum", lambda n, m, i: total + 1)
+    with pytest.raises(ConsistencyError, match="first moment"):
+        exact.subsum_distribution(30, 3, 2)
+
+
+def test_distribution_sum_check_raises(monkeypatch):
+    # A p-table whose p(30) is one too large leaves the counts right.  The
+    # slice total is held at its true value, so only the sum check fails.
+    total = exact.total_subsum(30, 3, 2)
+    p = exact.partition_counts(30)
+    p[30] += 1
+    monkeypatch.setattr(exact, "_p_values", lambda max_n: p)
+    monkeypatch.setattr(exact, "total_subsum", lambda n, m, i: total)
+    with pytest.raises(ConsistencyError, match="do not sum to p"):
+        exact.subsum_distribution(30, 3, 2)
+
+
+def test_f_table_sum_check_raises(monkeypatch):
+    restricted = exact.restricted_counts
+
+    def off_by_one(max_n, max_j):
+        table = restricted(max_n, max_j)
+        table[1][-1] += 1  # read at n = 20 for j = 1..5
+        return table
+
+    monkeypatch.setattr(exact, "restricted_counts", off_by_one)
+    with pytest.raises(ConsistencyError, match="does not sum to p"):
+        exact.f_table(20)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_subsum_distribution_matches_enumeration_under_cap(data):
