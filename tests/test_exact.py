@@ -375,8 +375,7 @@ def test_subsum_distribution_first_moment():
 
 
 def _full_table_distribution(n, m, i):
-    # The knapsack as it was before rows past n - s were skipped: every
-    # row is updated at every height.
+    # Reference knapsack: every row is updated at every height.
     width = exact.partition_counts(n)[n].bit_length() + 1
     dp = [1] + [0] * n
     for s in range(1, n + 1):
