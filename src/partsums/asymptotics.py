@@ -4,7 +4,8 @@ High-precision arithmetic runs on mpmath; every routine takes a Precision
 switch and evaluates under that many working digits.  The residue-class
 log-constants gamma_{m,h} are available by three independent routes: a
 roots-of-unity sum, Gauss's closed real form (cotangent and log-sine sum),
-and a digamma reduction through mpmath's psi.
+and a digamma reduction through mpmath's psi.  The first two, both c routes
+and the exact Lambert sum run their inner loops on Python ints.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Union
 
 import mpmath as mp
@@ -50,49 +52,70 @@ def _to_mpf(x: Real) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _ensure_real(z: mp.mpc, precision: Precision, what: str) -> mp.mpf:
-    if abs(z.imag) > precision.cross_tol:
-        raise ConsistencyError(
-            f"{what}: imaginary residue {z.imag} exceeds {precision.cross_tol}"
-        )
-    return z.real
-
-
 # ---------------------------------------------------------------------------
 # residue-class log-constants
 # ---------------------------------------------------------------------------
 
 
+def _mantissas(values) -> tuple[list[int], int]:
+    """The mpf values as signed integer mantissas at their least exponent, exactly."""
+    parts = [v._mpf_ for v in values]
+    exp = min(e for _, _, e, _ in parts)
+    return [(-man if sign else man) << e - exp for sign, man, e, _ in parts], exp
+
+
+def _dot(xs, ys, exp: int) -> mp.mpf:
+    """2^exp sum x y over integer mantissas: exact, rounded once, as mp.fdot is."""
+    return +mp.ldexp(sum(map(mul, xs, ys)), exp)
+
+
 @lru_cache(maxsize=None)
-def _unit_roots(m: int, dps: int) -> tuple[tuple[mp.mpc, ...], ...]:
-    """omega^t (t = 0..m-1), then -log(1 - omega^l) and log(1 - omega^l)/(1 - omega^l)
-    (l = 1..m-1, index l - 1), each entry rounded once at dps digits."""
+def _unit_roots(m: int, dps: int) -> tuple:
+    """(e, roots, neglogs, ratios): omega^t (t = 0..m-1), -log(1 - omega^l) and
+    log(1 - omega^l)/(1 - omega^l) (l = 1..m-1), rounded once at dps digits and
+    kept exactly as integer mantissas at one exponent e.  roots is (Re, Im); an
+    l-table T is ([Re T, -Im T], [Im T, Re T]), for dot products with [Re w, Im w]."""
     with mp.workdps(dps):
-        roots = tuple(mp.expjpi(mp.mpf(2 * t) / m) for t in range(m))
-        neglogs = tuple(-mp.log(1 - w) for w in roots[1:])
-        ratios = tuple(-g / (1 - w) for g, w in zip(neglogs, roots[1:]))
-        return roots, neglogs, ratios
+        roots = [mp.expjpi(mp.mpf(2 * t) / m) for t in range(m)]
+        neglogs = [-mp.log(1 - w) for w in roots[1:]]
+        ratios = [-g / (1 - w) for g, w in zip(neglogs, roots[1:])]
+    mans, e = _mantissas([p for z in roots + neglogs + ratios for p in (z.real, z.imag)])
+    re, im = tuple(mans[::2]), tuple(mans[1::2])  # immutable: the cache shares them
+    tables = ((re[lo:lo + m - 1], im[lo:lo + m - 1]) for lo in (m, 2 * m - 1))
+    return (e, (re[:m], im[:m]), *((r + tuple(-v for v in i), i + r) for r, i in tables))
+
+
+def _root_sum(m: int, s: int, precision: Precision, what: str, ratios=False) -> mp.mpf:
+    """Re sum_{l=1..m-1} omega^(-s l) T_l, T the neglogs or ratios of _unit_roots;
+    conjugate terms pair up, so an imaginary part above cross_tol is an error."""
+    e, roots, *tables = _unit_roots(m, precision.dps)
+    w = [part[-s * el % m] for part in roots for el in range(1, m)]
+    real, imag = (_dot(w, t, 2 * e) for t in tables[ratios])
+    if abs(imag) > precision.cross_tol:
+        raise ConsistencyError(
+            f"{what}: imaginary residue {imag} exceeds {precision.cross_tol}")
+    return real
 
 
 @lru_cache(maxsize=None)
 def _gauss_gammas(m: int, dps: int) -> tuple[mp.mpf, ...]:
     """gamma_{m,h} for h = 1..m (index h - 1) by the closed real form.
 
-    The cosine table -2 cos(2 pi t / m), t = 0..m-1, and the log-sine table
-    log sin(pi k / m) are computed once for all h; each h < m then takes
-    pi/2 cot(pi h/m) + log 2 + sum_k (-2 cos(2 pi h k/m)) log sin(pi k/m) as
-    one dot product, rounded once.
+    cot(pi h/m), 1 and the cosines -2 cos(2 pi t/m), t < m, become integer
+    mantissas at one exponent, pi/2, log 2 and log sin(pi k/m) at another; each
+    h < m takes pi/2 cot(pi h/m) + log 2 + sum_k (-2 cos(2 pi h k/m)) log
+    sin(pi k/m) as one exact integer dot product, rounded once, as mp.fdot is.
     """
     with mp.workdps(dps):
-        cosines = [-2 * mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
         ks = range(1, (m + 1) // 2)
-        weights = [mp.pi / 2, mp.log(2), *(mp.log(mp.sinpi(mp.mpf(k) / m)) for k in ks)]
-        out = []
-        for h in range(1, m):
-            terms = [mp.cot(mp.pi * h / m), 1, *(cosines[h * k % m] for k in ks)]
-            out.append(mp.fdot(terms, weights) / m)
-        out.append(-mp.log(m) / m)
-        return tuple(out)
+        weights, we = _mantissas(
+            [mp.pi / 2, mp.log(2), *(mp.log(mp.sinpi(mp.mpf(k) / m)) for k in ks)])
+        terms, te = _mantissas([*(mp.cot(mp.pi * h / m) for h in range(1, m)), mp.mpf(1),
+                                *(-2 * mp.cospi(mp.mpf(2 * t) / m) for t in range(m))])
+        cots, one, cosines = terms[:m - 1], terms[m - 1], terms[m:]
+        out = [_dot([cot, one, *(cosines[h * k % m] for k in ks)], weights, te + we) / m
+               for h, cot in enumerate(cots, 1)]
+        return (*out, -mp.log(m) / m)
 
 
 @lru_cache(maxsize=None)
@@ -112,9 +135,7 @@ def gamma_mh_roots(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
-        roots, neglogs, _ = _unit_roots(m, precision.dps)
-        total = mp.fdot([roots[-h * el % m] for el in range(1, m)], neglogs)
-        return _ensure_real(total / m, precision, f"gamma_({m},{h}) roots sum")
+        return _root_sum(m, h, precision, f"gamma_({m},{h}) roots sum") / m
 
 
 def gamma_mh_gauss(m: int, h: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -174,10 +195,8 @@ def c_coeff(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
     with mp.workdps(precision.dps):
         glc, shift = _growth_terms(precision.dps)
         first = shift * (m + 1 - 2 * i) / (glc * m)
-        roots, _, ratios = _unit_roots(m, precision.dps)
-        total = mp.fdot([roots[-el * (i - 1) % m] for el in range(1, m)], ratios)
-        val = first + 2 * total / (glc * m)
-        return _ensure_real(val, precision, f"c_({m},{i})")
+        total = _root_sum(m, i - 1, precision, f"c_({m},{i})", ratios=True)
+        return first + 2 * total / (glc * m)
 
 
 def c_coeff_via_gammas(m: int, i: int, precision: Precision = EXTENDED) -> mp.mpf:
@@ -194,8 +213,8 @@ def c_coeff_via_gammas(m: int, i: int, precision: Precision = EXTENDED) -> mp.mp
     with mp.workdps(precision.dps):
         glc, shift = _growth_terms(precision.dps)
         gammas = _gauss_gammas(m, precision.dps)
-        values = [shift] + [gammas[(i + j - 1) % m] for j in range(1, m)]
-        return mp.fdot([m + 1 - 2 * i, *range(-2, -2 * m, -2)], values) / (glc * m)
+        values, e = _mantissas([shift, *(gammas[(i + j - 1) % m] for j in range(1, m))])
+        return _dot([m + 1 - 2 * i, *range(-2, -2 * m, -2)], values, e) / (glc * m)
 
 
 def predict_expected_subsum(
@@ -292,12 +311,17 @@ def lambert_tau_exact(
 
     With x = exp(-alpha) this is sum x^(d k) over d = h (mod m), k >= 1, split
     at the hyperbola d = k into sum_k x^(k d0(k)) / (1 - x^(k m)), where
-    d0(k) = k + ((h - k) mod m), and sum_d x^(d (d + 1)) / (1 - x^d).  Powers
-    grow by products and each 1 - x^j by positive sums from -expm1, so nothing
-    cancels.  Each part stops when its tail bound, its next numerator over
-    (1 - x)(1 - x^m), drops below 10^-(dps + GUARD_DPS) of the total, after
-    about sqrt(ln(10^(dps + GUARD_DPS)) / alpha) terms; the total is rounded
-    to dps once.  Needing more than _EXACT_MAX_TERMS terms raises ValueError.
+    d0(k) = k + ((h - k) mod m), and sum_d x^(d (d + 1)) / (1 - x^d); nothing
+    cancels.  One loop adds term k of each part, and stops when the next two
+    numerators over (1 - x)(1 - x^m) bound the tail below 10^-(dps + GUARD_DPS)
+    of the total, or truncate to 0: within about K = 2 sqrt(ln(10^(dps +
+    GUARD_DPS)) / alpha) terms; a K above _EXACT_MAX_TERMS raises ValueError.
+    The inputs are rounded at dps + GUARD_DPS digits (prec bits), then summed
+    on ints with P = prec + 2 bit_length(K) + 8 guard bits: factors below 1 in
+    units of 2^-P, numerators and the total in units that make the first
+    numerator, x^h, about 2^P, so a large alpha needs no wider ints.  Each
+    product or quotient truncates by under one unit, so the ints add a relative
+    error below about 16 K^2 2^-P <= 2^(-4 - prec); the total rounds to dps once.
     """
     _check_mod_class(m, h)
     with mp.workdps(precision.dps):
@@ -311,31 +335,27 @@ def lambert_tau_exact(
                    f"the exact sum would need about {mp.nstr(terms, 3)} terms,"
                    f" more than {_EXACT_MAX_TERMS}")
             raise ValueError(f"alpha = {mp.nstr(a, 8)} is too small: {why}")
-        one_x, one_xm = -mp.expm1(-a), -mp.expm1(-m * a)
-        cut = mp.mpf(10) ** -dps * one_x * one_xm  # stop: numerator < cut * total
-        xm, total = x**m, mp.mpf(0)
-        # d >= k: x^(k^2) x^(k r) / (1 - x^(k m)), r = (h - k) mod m
-        xk, sq, sq_step, xkm, den, k = x, x, x**3, xm, one_xm, 1
-        while True:
-            total += sq * xk ** ((h - k) % m) / den
-            sq *= sq_step
-            if sq < cut * total:
-                break
-            sq_step *= x * x
-            xk, k = xk * x, k + 1
-            den, xkm = den + xkm * one_xm, xkm * xm
-        # d < k: x^(d (d + 1)) / (1 - x^d) for d = h, h + m, ...
-        xd, den = x**h, -mp.expm1(-h * a)
-        tri, tri_step, tri_step2 = xd ** (h + 1), xm ** (2 * h + m + 1), xm ** (2 * m)
-        while True:
-            total += tri / den
-            tri *= tri_step
-            if tri < cut * total:
-                break
-            tri_step *= tri_step2
-            den, xd = den + xd * one_xm, xd * xm
+        xm, xh, one_xm = x**m, x**h, -mp.expm1(-m * a)
+        P = mp.mp.prec + 2 * int(terms).bit_length() + 8  # 8 guard bits
+        shift = P - mp.mag(xh)  # the numerators' and the total's unit is 2^-shift
+        num, tri = (int(mp.ldexp(v, shift)) for v in (xh, xh ** (h + 1)))
+        xm, xh, one_xm, cut, den, step, step2 = (int(mp.ldexp(v, P)) for v in (
+            xm, xh, one_xm, mp.mpf(10) ** -dps * -mp.expm1(-a) * one_xm,  # the cut
+            -mp.expm1(-h * a), xm ** (2 * h + m + 1), xm ** (2 * m)))
+    # term k of both parts (d = h + (k - 1) m in the second); num gains x^d0
+    total, xd0, xkm, den1, r = 0, xh, xm, one_xm, (h - 1) % m
+    while True:
+        total += (num << P) // den1 + (tri << P) // den
+        den1, xkm = den1 + (xkm * one_xm >> P), xkm * xm >> P
+        num, tri = num * xd0 >> P, tri * step >> P
+        if not r:  # d0 moves up by m, and num also gains x^((k + 1) m)
+            num, xd0 = num * xkm >> P, xd0 * xm >> P
+        if num + tri <= cut * total >> P:  # <=, so numerators or a cut of 0 stop
+            break
+        r, step = (r - 1) % m, step * step2 >> P
+        den, xh = den + (xh * one_xm >> P), xh * xm >> P
     with mp.workdps(precision.dps):
-        return +total
+        return +mp.ldexp(total, -shift)
 
 
 class SeriesEvaluation(NamedTuple):

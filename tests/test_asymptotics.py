@@ -1,7 +1,11 @@
 """Tests for the asymptotic constants, series, and their cross-routes."""
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -308,15 +312,85 @@ def _lambert_reference(alpha, m, h):
 
 
 def test_lambert_exact_every_digit_against_reference():
-    for text in ("0.1", "0.01", "0.001"):
-        with mp.workdps(EXTENDED.dps):
-            alpha = mp.mpf(text)  # the value the exact sum is given
-        for m in range(1, 7):
-            for h in range(1, m + 1):
-                value = lambert_tau_exact(alpha, m, h, EXTENDED)
-                ref = _lambert_reference(alpha, m, h)
-                with mp.workdps(90):
-                    assert abs(value - ref) < mp.mpf("1e-45") * ref, (text, m, h)
+    # alpha = 1e5 makes x = exp(-alpha) about 2^-144270: the fixed-point sum
+    # must scale its numerators from the first one, not from 1
+    for precision in (DOUBLE, EXTENDED):
+        for text in ("0.1", "0.01", "0.001", "1e5"):
+            with mp.workdps(precision.dps):
+                alpha = mp.mpf(text)  # the value the exact sum is given
+                bits = mp.mp.prec
+            for m in range(1, 7):
+                for h in range(1, m + 1):
+                    value = lambert_tau_exact(alpha, m, h, precision)
+                    ref = _lambert_reference(alpha, m, h)
+                    with mp.workdps(90):  # within one unit of the value's last bit
+                        assert abs(value - ref) < mp.ldexp(1, mp.mag(value) - bits), (
+                            precision.name, text, m, h)
+
+
+def _lambert_mpf_loops(alpha, m, h, dps):
+    """The two hyperbola loops in mpf arithmetic, as the package summed them
+    before its fixed-point kernel; alpha as the package is given it."""
+    work = dps + asymptotics.GUARD_DPS
+    with mp.workdps(work):
+        x = mp.exp(-alpha)
+        one_x, one_xm = -mp.expm1(-alpha), -mp.expm1(-m * alpha)
+        cut = mp.mpf(10) ** -work * one_x * one_xm
+        xm, total = x**m, mp.mpf(0)
+        xk, sq, sq_step, xkm, den, k = x, x, x**3, xm, one_xm, 1
+        while True:
+            total += sq * xk ** ((h - k) % m) / den
+            sq *= sq_step
+            if sq < cut * total:
+                break
+            sq_step *= x * x
+            xk, k = xk * x, k + 1
+            den, xkm = den + xkm * one_xm, xkm * xm
+        xd, den = x**h, -mp.expm1(-h * alpha)
+        tri, tri_step, tri_step2 = xd ** (h + 1), xm ** (2 * h + m + 1), xm ** (2 * m)
+        while True:
+            total += tri / den
+            tri *= tri_step
+            if tri < cut * total:
+                break
+            tri_step *= tri_step2
+            den, xd = den + xd * one_xm, xd * xm
+    with mp.workdps(dps):
+        return +total
+
+
+def test_lambert_exact_matches_the_mpf_loop():
+    for dps in (16, 26, 50, 60):
+        precision = DOUBLE._replace(dps=dps)
+        for text in ("0.1", "0.01", "0.001", "3", "50"):
+            with mp.workdps(dps):
+                alpha = mp.mpf(text)
+            for m in range(1, 7):
+                for h in range(1, m + 1):
+                    got = lambert_tau_exact(alpha, m, h, precision)
+                    want = _lambert_mpf_loops(alpha, m, h, dps)
+                    assert got._mpf_ == want._mpf_, (dps, text, m, h)
+
+
+def test_lambert_exact_stops_when_its_cut_truncates_to_zero():
+    # At alpha = 1e-6, m = 1 and 26 working digits the stop threshold
+    # 10^-26 (1 - x)^2 is below one fixed-point unit, so the sum ends only
+    # when a numerator truncates to 0.  A child process turns a stop test
+    # that never fires into a timeout, not a hung suite.
+    src = str(Path(asymptotics.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("from partsums.asymptotics import DOUBLE, lambert_tau_exact;"
+            " print(lambert_tau_exact('1e-6', 1, 1, DOUBLE))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with mp.workdps(DOUBLE.dps):
+        alpha = mp.mpf("1e-6")
+    value = lambert_tau_exact(alpha, 1, 1, DOUBLE)
+    ref = _lambert_reference(alpha, 1, 1)
+    with mp.workdps(90):
+        assert abs(value - ref) < mp.mpf("1e-15") * ref
 
 
 def test_lambert_exact_validation():
@@ -452,6 +526,45 @@ def test_table_routes_within_seven_bits_of_90_digit_references():
                     with mp.workdps(90):
                         assert abs(got - ref) <= unit * max(1, abs(ref)), (
                             route.__name__, m, k, precision.name)
+
+
+def _fdot_routes(m, dps):
+    """Each table route's values at dps digits, as one mp.fdot over mpf tables
+    built the way the package built them before its integer dot products."""
+    with mp.workdps(dps):
+        roots = tuple(mp.expjpi(mp.mpf(2 * t) / m) for t in range(m))
+        neglogs = tuple(-mp.log(1 - w) for w in roots[1:])
+        ratios = tuple(-g / (1 - w) for g, w in zip(neglogs, roots[1:]))
+        cosines = [-2 * mp.cospi(mp.mpf(2 * t) / m) for t in range(m)]
+        ks = range(1, (m + 1) // 2)
+        weights = [mp.pi / 2, mp.log(2), *(mp.log(mp.sinpi(mp.mpf(k) / m)) for k in ks)]
+        gauss = [mp.fdot([mp.cot(mp.pi * h / m), 1, *(cosines[h * k % m] for k in ks)],
+                         weights) / m for h in range(1, m)] + [-mp.log(m) / m]
+        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+        shift = mp.euler + mp.log(2 / glc)
+        out = {}
+        for k in range(1, m + 1):
+            total = mp.fdot([roots[-k * el % m] for el in range(1, m)], neglogs)
+            out[gamma_mh_roots, k] = (total / m).real
+            out[gamma_mh_gauss, k] = gauss[k - 1]
+            total = mp.fdot([roots[-el * (k - 1) % m] for el in range(1, m)], ratios)
+            first = shift * (m + 1 - 2 * k) / (glc * m)
+            out[c_coeff, k] = (first + 2 * total / (glc * m)).real
+            values = [shift] + [gauss[(k + j - 1) % m] for j in range(1, m)]
+            out[c_coeff_via_gammas, k] = mp.fdot(
+                [m + 1 - 2 * k, *range(-2, -2 * m, -2)], values) / (glc * m)
+        return out
+
+
+def test_residue_dot_products_match_fdot():
+    # Exact integer products rounded once must be the value mp.fdot gave,
+    # bit for bit; m = 1 and 2 take empty and one-term dot products.
+    for m in (*range(1, 17), 40, 64, 97):
+        for dps in (16, 26, 50, 60):
+            precision = DOUBLE._replace(dps=dps)
+            for (route, k), want in _fdot_routes(m, dps).items():
+                got = route(m, k, precision)
+                assert got._mpf_ == want._mpf_, (route.__name__, m, k, dps)
 
 
 def _gamma_reference(m, h):
