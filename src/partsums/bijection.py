@@ -9,6 +9,7 @@ positions.  The inverse rebuilds lambda from suffix counts of the pair.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, NamedTuple
 
 from .exact import ConsistencyError, Partition, check_partition
@@ -88,7 +89,9 @@ def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
         raise ConsistencyError("rebuilt partition must have weight n")
     if sum(out[1::2]) != j:
         raise ConsistencyError("rebuilt partition must have subsum j")
-    return check_partition(out)
+    if any(map(lt, out, out[1:])):
+        raise ConsistencyError("rebuilt parts must be weakly decreasing")
+    return out
 
 
 def _suffix_counts(parts: Partition, top: int) -> list[int]:

@@ -18,7 +18,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import mpmath as mp
 
 from . import asymptotics, exact
-from .asymptotics import Precision
 from .bijection import forward, inverse
 from .exact import ConsistencyError
 

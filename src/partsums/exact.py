@@ -13,7 +13,6 @@ at isqrt(n).  p-tables persist on disk as checksummed binary files.
 from __future__ import annotations
 
 import struct
-import threading
 import zlib
 from fractions import Fraction
 from itertools import islice, repeat
@@ -63,7 +62,6 @@ def _check_mod_class(m: int, i: int) -> None:
 # partition counts
 # ---------------------------------------------------------------------------
 
-_P_LOCK = threading.Lock()
 _P_VALUES: list[int] = [1]  # p(0), p(1), ...; grows monotonically
 _P_BLOCK = 128  # p-table values added per step of the recurrence
 _IO_CHUNK = 512  # p-table slots encoded per write or read
@@ -99,8 +97,8 @@ def partition_counts(max_n: int) -> list[int]:
     p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
     evaluated a block of new values at a time; see _p_values.
 
-    The table grows in place in a process-wide cache guarded by a lock, so
-    repeated calls share work.  This returns a copy that callers may
+    The table grows in place in a process-wide cache, so repeated calls
+    share work.  This returns a copy that callers may
     mutate; package code reads the shared list in place via _p_values.
     """
     if max_n < 0:
@@ -120,29 +118,28 @@ def _p_values(max_n: int) -> list[int]:
     Package code reads it in place and never mutates it; it may run past
     p(max_n).  partition_counts hands out copies.
     """
-    with _P_LOCK:
-        values = _P_VALUES
-        if len(values) > max_n:
-            return values
-        offsets, get = _pentagonal_offsets(max_n), values.__getitem__
-        while len(values) <= max_n:
-            n0 = len(values)
-            width = min(_P_BLOCK, max_n + 1 - n0)
-            far = [map(sum, zip(repeat(0, width),  # the zero column keeps width
-                                *[values[n0 - g:n0 - g + width]
-                                  for g in side if _P_BLOCK <= g <= n0]))
-                   for side in offsets]
-            near_a, near_s = ([-g for g in side if not _P_BLOCK <= g <= n0]
-                              for side in offsets)
-            a = s = 0
-            for n, plus, minus in zip(range(n0, n0 + width), *far):
-                while a < len(near_a) and near_a[a] >= -n:
-                    a += 1
-                while s < len(near_s) and near_s[s] >= -n:
-                    s += 1
-                values.append(plus - minus + sum(map(get, near_a[:a]))
-                              - sum(map(get, near_s[:s])))
+    values = _P_VALUES
+    if len(values) > max_n:
         return values
+    offsets, get = _pentagonal_offsets(max_n), values.__getitem__
+    while len(values) <= max_n:
+        n0 = len(values)
+        width = min(_P_BLOCK, max_n + 1 - n0)
+        far = [map(sum, zip(repeat(0, width),  # the zero column keeps width
+                            *[values[n0 - g:n0 - g + width]
+                              for g in side if _P_BLOCK <= g <= n0]))
+               for side in offsets]
+        near_a, near_s = ([-g for g in side if not _P_BLOCK <= g <= n0]
+                          for side in offsets)
+        a = s = 0
+        for n, plus, minus in zip(range(n0, n0 + width), *far):
+            while a < len(near_a) and near_a[a] >= -n:
+                a += 1
+            while s < len(near_s) and near_s[s] >= -n:
+                s += 1
+            values.append(plus - minus + sum(map(get, near_a[:a]))
+                          - sum(map(get, near_s[:s])))
+    return values
 
 
 def preload_partition_counts(values: Sequence[int]) -> None:
@@ -152,12 +149,11 @@ def preload_partition_counts(values: Sequence[int]) -> None:
     """
     if not values or values[0] != 1:
         raise ValueError("a p-table must start with p(0) = 1")
-    with _P_LOCK:
-        n_check = min(len(values), len(_P_VALUES))
-        if list(values[:n_check]) != _P_VALUES[:n_check]:
-            raise ConsistencyError("supplied p-table disagrees with cached values")
-        if len(values) > len(_P_VALUES):
-            _P_VALUES.extend(islice(values, len(_P_VALUES), None))  # no list copy
+    n_check = min(len(values), len(_P_VALUES))
+    if list(values[:n_check]) != _P_VALUES[:n_check]:
+        raise ConsistencyError("supplied p-table disagrees with cached values")
+    if len(values) > len(_P_VALUES):
+        _P_VALUES.extend(islice(values, len(_P_VALUES), None))  # no list copy
 
 
 def restricted_counts(max_n: int, max_j: int) -> list[list[int]]:
@@ -219,18 +215,14 @@ def divisor_tables(max_k: int, m: int, i: int) -> DivisorSumTables:
     return DivisorSumTables(max_k, m, i, tau, tau_mod, floor_sum)
 
 
-_DIV_LOCK = threading.Lock()
 _DIV_CACHE: dict[int, DivisorSumTables] = {}
 
 
 def _divisors_for(max_k: int, m: int) -> DivisorSumTables:
     """One sieve per modulus for s_sums_exact, rebuilt only to grow."""
-    with _DIV_LOCK:
-        cached = _DIV_CACHE.get(m)
-        if cached is None or cached.max_k < max_k:
-            cached = divisor_tables(max_k, m, 1)
-            _DIV_CACHE[m] = cached
-        return cached
+    if m not in _DIV_CACHE or _DIV_CACHE[m].max_k < max_k:
+        adopt_divisor_tables(divisor_tables(max_k, m, 1))
+    return _DIV_CACHE[m]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +293,7 @@ def s_sums_exact(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_mod_class(m, 1)
     if p is None:
         p = _p_values(n)
     elif len(p) < n:
@@ -571,8 +562,7 @@ def load_divisor_tables(fh: TextIO) -> DivisorSumTables:
 
 
 def adopt_divisor_tables(tables: DivisorSumTables) -> None:
-    """Install externally loaded divisor tables into the shared cache."""
-    with _DIV_LOCK:
-        cached = _DIV_CACHE.get(tables.m)
-        if cached is None or cached.max_k < tables.max_k:
-            _DIV_CACHE[tables.m] = tables
+    """Install divisor tables in the shared cache; a larger cached sieve stays."""
+    cached = _DIV_CACHE.get(tables.m)
+    if cached is None or cached.max_k < tables.max_k:
+        _DIV_CACHE[tables.m] = tables

@@ -572,6 +572,22 @@ def _gamma_reference(m, h):
     return -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
 
 
+def test_root_sums_reject_an_imaginary_residue(monkeypatch):
+    # Roots rotated by one no longer pair conjugate terms, so the imaginary
+    # part of each roots-route dot product stays far above the tolerance.
+    unit_roots = asymptotics._unit_roots
+
+    def rotated(m, dps):
+        e, (re, im), *tables = unit_roots(m, dps)
+        return (e, (re[1:] + re[:1], im[1:] + im[:1]), *tables)
+
+    monkeypatch.setattr(asymptotics, "_unit_roots", rotated)
+    with pytest.raises(exact.ConsistencyError, match="imaginary residue"):
+        gamma_mh_roots(5, 2)
+    with pytest.raises(exact.ConsistencyError, match="imaginary residue"):
+        c_coeff(5, 2)
+
+
 def test_extended_tables_survive_a_double_precision_fill():
     # The per-modulus tables are keyed by (m, dps).  Filling them at DOUBLE
     # first must not hand 16-digit entries to a later EXTENDED call.

@@ -57,22 +57,33 @@ def test_inverse_validation():
 
 def test_broken_invariants_raise_consistency_error(monkeypatch):
     # The checks must be real raises, not asserts that vanish under -O.
-    # Unchecked, the parts (3, 1, 2) give beta = (1, 1) of weight 2 > 1.
+    # Unchecked, the parts (3, 1, 2) give beta = (1, 1) of weight 2 > 1,
+    # and (1, 3) gives j = 3 > n/2, so even an empty beta overflows n - 2j.
     monkeypatch.setattr(bijection, "check_partition", tuple)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="even-index subsum"):
         forward((3, 1, 2))
+    with pytest.raises(ConsistencyError, match="part-count bound"):
+        forward((1, 3))
     monkeypatch.undo()
 
     suffix = bijection._suffix_counts
+    # (alpha, beta, n, {parts: {k: change to the count of parts >= k}}, check)
+    cases = [
+        ((1,), (1,), 6, {(1,): {1: 1}}, "first part"),
+        ((2,), (), 4, {(2,): {1: -1}}, "weight n"),
+        ((2, 2), (2, 1), 20, {(2, 2): {1: 2, 2: 1}, (2, 1): {1: -2}}, "subsum j"),
+        ((2, 2), (2, 1), 20, {(2, 2): {2: 1}, (2, 1): {2: -1}}, "weakly decreasing"),
+    ]
+    for alpha, beta, n, changes, check in cases:
+        def miscounted(parts, top):
+            counts = suffix(parts, top)
+            for k, change in changes.get(parts, {}).items():
+                counts[k] += change
+            return counts
 
-    def off_by_one(parts, top):
-        counts = suffix(parts, top)
-        counts[1] += 1
-        return counts
-
-    monkeypatch.setattr(bijection, "_suffix_counts", off_by_one)
-    with pytest.raises(ConsistencyError):
-        inverse((1,), (1,), 6)
+        monkeypatch.setattr(bijection, "_suffix_counts", miscounted)
+        with pytest.raises(ConsistencyError, match=check):
+            inverse(alpha, beta, n)
 
 
 def test_roundtrip_forward_then_inverse():

@@ -464,6 +464,17 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert "ZeroDivisionError: injected" in err
 
 
+def test_consistency_failure_exits_1(capsys, monkeypatch):
+    def broken(n):
+        raise exact.ConsistencyError("injected")
+
+    monkeypatch.setattr(exact, "f_table", broken)
+    code, out, err = run(capsys, ["f-table", "--n", "5"])
+    assert code == 1
+    assert out == ""
+    assert err == "consistency failure: injected\n"
+
+
 # Imports the CLI, then runs each argv in the same interpreter.  For each
 # step it prints the exit code, the watched modules that step loaded and
 # the argv.  Modules loaded before the import (a site hook's) never count.

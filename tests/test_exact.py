@@ -429,6 +429,21 @@ def test_f_table_sum_check_raises(monkeypatch):
         exact.f_table(20)
 
 
+def test_theorem1_one_sided_check_raises(monkeypatch):
+    # Past n/3, f(n, j) must stay below the pair count; one f entry raised to
+    # it (f(30, 11) = 744 against A000712(11) = 752) must fail the scan.
+    f_table = exact.f_table
+
+    def at_the_pair_count(n):
+        f = f_table(n)
+        f[11] = exact.a000712(11)
+        return f
+
+    monkeypatch.setattr(exact, "f_table", at_the_pair_count)
+    with pytest.raises(ConsistencyError, match="not below the pair count"):
+        exact.theorem1_check(30)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_subsum_distribution_matches_enumeration_under_cap(data):
@@ -439,12 +454,16 @@ def test_subsum_distribution_matches_enumeration_under_cap(data):
     assert exact.subsum_distribution(n, m, i).counts == want
 
 
-def test_euler_identity():
+def test_euler_identity(monkeypatch):
     assert exact.euler_identity_check(300)
     # n = 6 spelled out: 6 p(6) = sum sigma(k) p(6-k)
     p = exact.partition_counts(6)
     sigma = [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(7)]
     assert 6 * p[6] == sum(sigma[k] * p[6 - k] for k in range(1, 7))
+    # a table with p(6) = 12 breaks the identity at n = 6
+    p[6] += 1
+    monkeypatch.setattr(exact, "_p_values", lambda max_n: p)
+    assert not exact.euler_identity_check(6)
 
 
 def test_s_sums_smallest():
@@ -484,8 +503,17 @@ def test_s_sums_recombination_rejects_bad_input():
     with pytest.raises(ValueError):
         exact.total_subsum_from_s_sums(20, 3, 1, total, split[:2], p[20])
     tampered = [split[0] + 1, split[1], split[2]]
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="do not add up"):
         exact.total_subsum_from_s_sums(20, 3, 1, total, tampered, p[20])
+    # S = 1 split as (0, 1) adds up, but n p(n) + (m - i) S is 2 + 1, odd
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        exact.total_subsum_from_s_sums(1, 2, 1, 1, [0, 1], 1)
+    # one tau entry one too large no longer matches its residue split
+    tables = exact.divisor_tables(20, 3, 1)
+    tau = tables.tau[:]
+    tau[5] += 1
+    with pytest.raises(ConsistencyError, match="residue-split"):
+        exact.s_sums_exact(20, 3, tables=tables._replace(tau=tau))
 
 
 def test_check_partition():

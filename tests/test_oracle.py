@@ -113,3 +113,20 @@ def test_oracle_shares_no_route_with_the_package():
                 assert module == "partsums.exact", module
                 borrowed |= {a.name for a in node.names}
     assert borrowed <= {"Partition", "_check_mod_class", "check_partition"}
+
+
+def test_package_starts_no_threads_or_processes():
+    """No module under src/partsums imports threading, _thread,
+    multiprocessing or concurrent: nothing in the package runs concurrently,
+    so it needs no locks.  A change that adds concurrency with a measured
+    gain edits this check."""
+    banned = {"threading", "_thread", "multiprocessing", "concurrent"}
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not banned & {name.split(".")[0] for name in names}, path.name
