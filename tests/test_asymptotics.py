@@ -10,6 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+import references
 from partsums import exact, asymptotics
 from partsums.asymptotics import (
     DOUBLE,
@@ -166,25 +167,10 @@ def test_c_coeff_two_routes_agree():
 
 
 def test_extended_coefficients_reach_full_precision():
-    # Reference at 70 digits built from mpmath's own Euler constant and
-    # digamma: c = (gamma + log(2/C)) (m+1-2i)/(C m)
-    #             - (2/C) sum_j (j/m) gamma_{m,i+j},
-    # with gamma_{m,h} = -(gamma + log m + psi(h/m)) / m.
-    def reference(m, i, n):
-        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-        c = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-        for j in range(1, m):
-            h = (i + j) % m or m
-            g = -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
-            c -= 2 * mp.mpf(j) / m * g / glc
-        b = mp.mpf(m + 1 - 2 * i) / (2 * glc * m)
-        rn = mp.sqrt(n)
-        return c, mp.mpf(n) / m + b * rn * mp.log(n) + c * rn
-
     tol = mp.mpf("1e-45")
     for m, i in [(2, 1), (3, 1), (4, 3), (5, 2), (7, 7)]:
         with mp.workdps(70):
-            c_ref, mean_ref = reference(m, i, 1000)
+            c_ref, mean_ref = references.c(m, i), references.predicted(1000, m, i)
             assert abs(c_coeff(m, i, EXTENDED) - c_ref) < tol
             assert abs(c_coeff_via_gammas(m, i, EXTENDED) - c_ref) < tol
             mean = predict_expected_subsum(1000, m, i, EXTENDED)
@@ -194,11 +180,11 @@ def test_extended_coefficients_reach_full_precision():
 def test_coefficients_at_double_precision():
     with mp.workdps(50):
         for m, i in [(2, 1), (3, 2), (5, 4), (6, 1)]:
-            assert abs(b_coeff(m, i, DOUBLE) - b_coeff(m, i)) < mp.mpf("1e-12")
-            assert abs(c_coeff(m, i, DOUBLE) - c_coeff(m, i)) < mp.mpf("1e-12")
+            assert abs(b_coeff(m, i, DOUBLE) - references.b(m, i)) < mp.mpf("1e-12")
+            assert abs(c_coeff(m, i, DOUBLE) - references.c(m, i)) < mp.mpf("1e-12")
         for m, h in [(2, 1), (6, 5), (12, 7)]:
             for route in ROUTES:
-                assert abs(route(m, h, DOUBLE) - route(m, h)) < mp.mpf("1e-12")
+                assert abs(route(m, h, DOUBLE) - references.gamma(m, h)) < mp.mpf("1e-12")
 
 
 def test_predict_expected_subsum_identity_class():
@@ -277,40 +263,6 @@ def test_lambert_exact_residues_sum_to_full():
                 assert abs(split - full) / full < mp.mpf("1e-45")
 
 
-def _lambert_reference(alpha, m, h):
-    """The residue-class Lambert sum at 80 digits, for alpha as given.
-
-    Summed term by term when alpha m > 0.05.  Below that, the Mellin
-    expansion (Bernoulli tail over the gamma_{m,h} main part, from mpmath's
-    digamma and Bernoulli functions) converges instead; its remainder is of
-    order exp(-4 pi^2 / (alpha m)), below 1e-340 there.
-    """
-    with mp.workdps(90):
-        a, eps = mp.mpf(alpha), mp.mpf(10) ** -85
-        if a * m > mp.mpf("0.05"):
-            x = mp.exp(-a)
-            q, step, total = x**h, x**m, mp.mpf(0)
-            while True:
-                term = q / (1 - q)
-                total += term
-                if term < eps * total:
-                    return total
-                q *= step
-        gamma = -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
-        total = (mp.log(1 / a) / m + mp.euler / m + gamma) / a
-        power = mp.mpf(1)
-        for k in range(400):
-            bk = mp.bernoulli(k + 1)
-            if bk:
-                term = -bk * mp.bernpoly(k + 1, mp.mpf(h) / m) * power / (
-                    mp.factorial(k + 1) * (k + 1))
-                total += term
-                if k > 2 and abs(term) < eps * abs(total):
-                    return total
-            power *= a * m
-        raise AssertionError(f"reference did not converge at alpha = {alpha}")
-
-
 def test_lambert_exact_every_digit_against_reference():
     # alpha = 1e5 makes x = exp(-alpha) about 2^-144270: the fixed-point sum
     # must scale its numerators from the first one, not from 1
@@ -322,10 +274,18 @@ def test_lambert_exact_every_digit_against_reference():
             for m in range(1, 7):
                 for h in range(1, m + 1):
                     value = lambert_tau_exact(alpha, m, h, precision)
-                    ref = _lambert_reference(alpha, m, h)
+                    ref = references.lambert(alpha, m, h)
                     with mp.workdps(90):  # within one unit of the value's last bit
                         assert abs(value - ref) < mp.ldexp(1, mp.mag(value) - bits), (
                             precision.name, text, m, h)
+
+
+def test_lambert_reference_routes_agree_at_their_switch():
+    # The reference sums term by term above alpha m = 0.05 and expands below;
+    # at the switch both routes converge, and each must hold 80 digits.
+    direct, expanded = (references.lambert("0.0125", 4, 3, expand) for expand in (False, True))
+    with mp.workdps(90):
+        assert abs(direct - expanded) < mp.mpf("1e-80") * direct
 
 
 def _lambert_mpf_loops(alpha, m, h, dps):
@@ -388,7 +348,7 @@ def test_lambert_exact_stops_when_its_cut_truncates_to_zero():
     with mp.workdps(DOUBLE.dps):
         alpha = mp.mpf("1e-6")
     value = lambert_tau_exact(alpha, 1, 1, DOUBLE)
-    ref = _lambert_reference(alpha, 1, 1)
+    ref = references.lambert(alpha, 1, 1)
     with mp.workdps(90):
         assert abs(value - ref) < mp.mpf("1e-15") * ref
 
@@ -408,7 +368,7 @@ def test_lambert_exact_validation():
         alpha = mp.mpf("6e-5")
     value = lambert_tau_exact(alpha, 1, 1)
     with mp.workdps(90):
-        ref = _lambert_reference(alpha, 1, 1)
+        ref = references.lambert(alpha, 1, 1)
         assert abs(value - ref) < mp.mpf("1e-45") * ref
 
 
@@ -498,24 +458,10 @@ def test_s_sum_predictions_remainder_bounded():
 ACCURACY_MODULI = (*range(1, 41), 64, 97, 128)
 
 
-def _references_90(m):
-    """gamma_{m,h} from mpmath's psi, and c_{m,i} by the gamma-sum formula."""
-    with mp.workdps(90):
-        gammas = [-(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
-                  for h in range(1, m + 1)]
-        glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-        cs = []
-        for i in range(1, m + 1):
-            c = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-            for j in range(1, m):
-                c -= 2 * mp.mpf(j) / m * gammas[(i + j - 1) % m] / glc
-            cs.append(c)
-        return gammas, cs
-
-
 def test_table_routes_within_seven_bits_of_90_digit_references():
     for m in ACCURACY_MODULI:
-        gammas, cs = _references_90(m)
+        gammas = [references.gamma(m, h) for h in range(1, m + 1)]
+        cs = [references.c(m, i) for i in range(1, m + 1)]
         for precision in (DOUBLE, EXTENDED):
             with mp.workdps(precision.dps):
                 unit = mp.ldexp(1, 7 - mp.mp.prec)
@@ -567,11 +513,6 @@ def test_residue_dot_products_match_fdot():
                 assert got._mpf_ == want._mpf_, (route.__name__, m, k, dps)
 
 
-def _gamma_reference(m, h):
-    # Call inside mp.workdps(70): the digamma route, from mpmath's own psi.
-    return -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
-
-
 def test_root_sums_reject_an_imaginary_residue(monkeypatch):
     # Roots rotated by one no longer pair conjugate terms, so the imaginary
     # part of each roots-route dot product stays far above the tolerance.
@@ -603,33 +544,25 @@ def test_extended_tables_survive_a_double_precision_fill():
     tol = mp.mpf("1e-45")
     for m in moduli:
         with mp.workdps(70):
-            glc = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-            gammas = {h: _gamma_reference(m, h) for h in range(1, m + 1)}
             for h in range(1, m + 1):
-                assert abs(gamma_mh_roots(m, h, EXTENDED) - gammas[h]) < tol
-                assert abs(gamma_mh_gauss(m, h, EXTENDED) - gammas[h]) < tol
+                assert abs(gamma_mh_roots(m, h, EXTENDED) - references.gamma(m, h)) < tol
+                assert abs(gamma_mh_gauss(m, h, EXTENDED) - references.gamma(m, h)) < tol
             for i in range(1, m + 1):
-                c_ref = (mp.euler + mp.log(2 / glc)) * (m + 1 - 2 * i) / (glc * m)
-                for j in range(1, m):
-                    c_ref -= 2 * mp.mpf(j) / m * gammas[(i + j) % m or m] / glc
+                c_ref = references.c(m, i)
                 assert abs(c_coeff(m, i, EXTENDED) - c_ref) < tol
                 assert abs(c_coeff_via_gammas(m, i, EXTENDED) - c_ref) < tol
 
 
 def test_extended_lambert_asymptotic_reaches_full_precision():
-    # The same truncated series, summed at 70 digits from the digamma
-    # gamma_{m,h} and the exact Bernoulli tail coefficients.
+    # The same truncated series, summed at 90 digits from the digamma
+    # gamma_{m,h} and mpmath's Bernoulli numbers and polynomials.
     for text, m, h in [("0.01", 1, 1), ("0.05", 3, 2), ("0.002", 5, 4), ("0.03", 6, 6)]:
         with mp.workdps(EXTENDED.dps):
             alpha = mp.mpf(text)
         series = lambert_tau_asymptotic(alpha, m, h, precision=EXTENDED)
         assert series.terms_used > 0
+        ref, _ = references.lambert_series(alpha, m, h, series.terms_used)
         with mp.workdps(70):
-            inv = 1 / alpha
-            ref = inv * mp.log(inv) / m + (mp.euler / m + _gamma_reference(m, h)) * inv
-            for idx in range(series.terms_used):
-                coeff = tail_coefficient(idx, m, h)
-                ref += mp.mpf(coeff.numerator) / coeff.denominator * (alpha * m) ** idx
             assert abs(series.value - ref) < mp.mpf("1e-45") * abs(ref), (text, m, h)
 
 

@@ -17,6 +17,7 @@ import mpmath as mp
 import pytest
 
 import partsums
+import references
 from partsums import asymptotics, cli, exact
 from partsums.cli import main
 
@@ -163,21 +164,17 @@ def test_residual_keeps_every_printed_digit(capsys):
     residual = json.loads(out)["rows"][0][4]
     mean = exact.expected_subsum(n, m, i)
     with mp.workdps(80):
-        rn = mp.sqrt(n)
-        c = asymptotics.c_coeff(m, i, asymptotics.EXTENDED._replace(dps=80))
-        ref = mp.mpf(mean.numerator) / mean.denominator - mp.mpf(n) / m - c * rn
+        ref = mp.mpf(mean.numerator) / mean.denominator - references.predicted(n, m, i)
         assert asymptotics.b_coeff(m, i) == 0
         assert abs(mp.mpf(residual) - ref) < mp.mpf("1e-49") * abs(ref)
 
 
 def _reference_cells(n, m, i):
     """predicted, residual and the two ratios of (n, m, i) at 90 digits."""
-    at = asymptotics.EXTENDED._replace(dps=90)
     mean = exact.expected_subsum(n, m, i)
     with mp.workdps(90):
         rn = mp.sqrt(n)
-        predicted = (mp.mpf(n) / m + asymptotics.b_coeff(m, i, at) * rn * mp.log(n)
-                     + asymptotics.c_coeff(m, i, at) * rn)
+        predicted = references.predicted(n, m, i)
         residual = mp.mpf(mean.numerator) / mean.denominator - predicted
         return {"predicted": predicted, "residual": residual,
                 "abs_residual_over_sqrt_n": abs(residual) / rn,

@@ -14,6 +14,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+import references
 from partsums.asymptotics import precision_named
 from partsums.cli import main
 
@@ -66,49 +67,25 @@ def test_readme_examples():
     assert result.failed == 0
 
 
-def _gamma(m, h):
-    """gamma_{m,h} from mpmath's digamma and Euler constant."""
-    return -(mp.euler + mp.log(m) + mp.digamma(mp.mpf(h) / m)) / m
-
-
 def _constants_references(params):
     m = int(params["m"])
-    C = mp.pi * mp.sqrt(mp.mpf(2) / 3)
     refs = {}
     for h in range(1, m + 1):
         for route in ("roots-of-unity", "gauss", "digamma"):
-            refs[f"gamma[{h}] {route}"] = _gamma(m, h)
+            refs[f"gamma[{h}] {route}"] = references.gamma(m, h)
     for i in range(1, m + 1):
-        refs[f"b[{i}]"] = mp.mpf(m + 1 - 2 * i) / (2 * C * m)
-        c = (mp.euler + mp.log(2 / C)) * (m + 1 - 2 * i) / (C * m)
-        for j in range(1, m):
-            c -= 2 * mp.mpf(j) / m * _gamma(m, (i + j) % m or m) / C
-        refs[f"c[{i}]"] = c
+        refs[f"b[{i}]"] = references.b(m, i)
+        refs[f"c[{i}]"] = references.c(m, i)
     return refs
 
 
 def _lambert_references(params, dps, terms_used):
-    """exact by a direct sum; the series from mp.bernoulli and mp.bernpoly.
-
-    alpha is parsed at the working precision dps, as the command parses it.
-    """
+    """alpha is parsed at the working precision dps, as the command parses it."""
     m, h = int(params["m"]), int(params["h"])
     with mp.workdps(dps):
         alpha = mp.mpf(params["alpha"])
-    x, d, exact = mp.exp(-alpha), h, mp.mpf(0)
-    while True:
-        term = x**d / (1 - x**d)
-        exact += term
-        if term < mp.mpf(10) ** -95 * exact:
-            break
-        d += m
-    series = (mp.log(1 / alpha) / m + mp.euler / m + _gamma(m, h)) / alpha
-    for k in range(terms_used):
-        term = (-mp.bernoulli(k + 1) * mp.bernpoly(k + 1, mp.mpf(h) / m)
-                * (alpha * m) ** k / (mp.factorial(k + 1) * (k + 1)))
-        series += term
-        if term:
-            last = abs(term)
+    exact = references.lambert(alpha, m, h)
+    series, last = references.lambert_series(alpha, m, h, terms_used)
     return {"exact": exact, "asymptotic": series,
             "abs_difference": abs(exact - series), "last_term_magnitude": last}
 
@@ -122,7 +99,7 @@ NOT_FLOAT = {"terms_used", "within_2x_last_term"}
 def test_golden_floats_are_rounded_once(name):
     """Every float cell equals a 90-digit reference rounded once to its precision.
 
-    The references use mpmath only, nothing from the package.
+    The references (tests/references.py) use mpmath only, nothing from the package.
     """
     doc = json.loads((GOLDEN / name).read_text())
     params, rows = doc["parameters"], dict(doc["rows"])

@@ -1,6 +1,8 @@
-"""Tests for the enumeration oracle itself."""
+"""Tests for the enumeration oracle, and for the independence of the routes
+that the package and the tests check against each other."""
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -97,10 +99,15 @@ def test_enumeration_guard():
         oracle.brute_total(100, 2, 1)
 
 
-def test_oracle_shares_no_route_with_the_package():
-    # The ground truth borrows only input checks and the Partition alias from
-    # exact, so it can never compute through the code it checks.
-    tree = ast.parse(Path(oracle.__file__).read_text())
+@pytest.mark.parametrize("path, allowed", [
+    # the ground truth borrows only input checks and the Partition alias
+    (Path(oracle.__file__), {"Partition", "_check_mod_class", "check_partition"}),
+    # the tests' 90-digit references borrow nothing
+    (Path(__file__).with_name("references.py"), set()),
+], ids=["oracle", "references"])
+def test_oracle_shares_no_route_with_the_package(path, allowed):
+    # so neither can ever compute through the code it checks
+    tree = ast.parse(path.read_text())
     borrowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -112,7 +119,71 @@ def test_oracle_shares_no_route_with_the_package():
             if module.split(".")[0] == "partsums":
                 assert module == "partsums.exact", module
                 borrowed |= {a.name for a in node.names}
-    assert borrowed <= {"Partition", "_check_mod_class", "check_partition"}
+    assert borrowed <= allowed
+
+
+def _call_graph():
+    """Each module-level function of src/partsums, as "module.name", and the
+    names its body uses that resolve to one: its own module's functions, and
+    those taken by "from .module import".  Classes and annotations are not
+    nodes, so an edge to ConsistencyError or Precision is dropped."""
+    graph = {}
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        tree, scope = ast.parse(path.read_text()), {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                scope.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+            elif isinstance(node, ast.FunctionDef):
+                scope[node.name] = f"{path.stem}.{node.name}"
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                graph[scope[node.name]] = {scope[n.id] for stmt in node.body for n in ast.walk(stmt)
+                                           if isinstance(n, ast.Name) and n.id in scope}
+    return graph
+
+
+def _closure(graph, roots):
+    """The functions that the space-separated roots reach, roots included."""
+    todo, seen = roots.split(), set()
+    assert set(todo) <= graph.keys(), roots
+    while todo:
+        f = todo.pop()
+        if f in graph and f not in seen:
+            seen.add(f)
+            todo.extend(graph[f])
+    return seen
+
+
+CHECK = {"exact._check_mod_class"}  # checks (m, i) and computes nothing
+# One exact integer dot product, rounded once.  It sums only the tables it is
+# handed, and each route builds its own from its own transcendentals.
+DOT = {"asymptotics._mantissas", "asymptotics._dot"}
+# The p-table: exact integers, checked on their own against enumeration and
+# a coin-change count, so the routes still check all they build on it.
+P_TABLE = {"exact._p_values", "exact._pentagonal_offsets"}
+GAMMAS = ("asymptotics.gamma_mh_roots", "asymptotics.gamma_mh_gauss",
+          "asymptotics.gamma_mh_digamma")
+# Each pair of routes the package or the tests cross-check, and all that
+# their call closures may share.
+ROUTE_PAIRS = [
+    *((a, b, CHECK | DOT) for a, b in combinations(GAMMAS, 2)),
+    # C and gamma + log(2/C): the tests' references recompute both on their own
+    ("asymptotics.c_coeff", "asymptotics.c_coeff_via_gammas",
+     CHECK | DOT | {"asymptotics._growth_terms"}),
+    # alpha's parsing and its finite, positive check, none of what is summed
+    ("asymptotics.lambert_tau_exact", "asymptotics.lambert_tau_asymptotic",
+     CHECK | {"asymptotics._alpha_mpf", "asymptotics._to_mpf"}),
+    ("exact.f_table", "exact.subsum_distribution", P_TABLE),
+    ("exact.total_subsum", "exact.s_sums_exact exact.total_subsum_from_s_sums",
+     CHECK | P_TABLE),
+]
+
+
+def test_cross_checked_routes_share_only_their_allowlists():
+    graph = _call_graph()
+    for left, right, allowed in ROUTE_PAIRS:
+        shared = _closure(graph, left) & _closure(graph, right)
+        assert shared <= allowed, (left, right, sorted(shared - allowed))
 
 
 def test_package_starts_no_threads_or_processes():
