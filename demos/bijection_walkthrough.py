@@ -4,8 +4,9 @@ Partitions of n with even-position subsum j correspond to pairs of
 partitions (alpha, beta) with |alpha| + |beta| = j, provided j is small
 enough relative to n (at most n/3 the map is a bijection; beyond that the
 pair side overcounts).  The forward direction reads alpha and beta off the
-multiplicity profile of the partition; the inverse rebuilds the part
-multiplicities from suffix counts of alpha and beta.
+multiplicity profile of the partition; the inverse rebuilds the parts from
+one step count, in which each part of alpha or beta marks the last part of
+the partition it reaches.
 """
 
 from partsums import exact

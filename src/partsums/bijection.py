@@ -4,11 +4,13 @@ A partition lambda of n with even-index subsum j maps to a pair of
 partitions (alpha, beta) with |alpha| + |beta| = j, where beta additionally
 has at most n - 2j parts.  Multiplicities are read off consecutive gaps of
 lambda: alpha picks up the gaps at even positions, beta the gaps at odd
-positions.  The inverse rebuilds lambda from suffix counts of the pair.
+positions.  The inverse rebuilds lambda from one step count: each part of
+the pair adds a step at the last part of lambda it reaches.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import lt
 from typing import Iterable, NamedTuple
 
@@ -27,16 +29,25 @@ class BijectionImage(NamedTuple):
 def forward(parts: Iterable[int]) -> BijectionImage:
     """Map a partition to its (alpha, beta) pair.
 
-    With a_t the t-th part (zero past the end), alpha gets the part t with
+    With a_s the s-th part (zero past the end), alpha gets the part t with
     multiplicity a_{2t} - a_{2t+1} and beta gets it with multiplicity
-    a_{2t+1} - a_{2t+2}.
+    a_{2t+1} - a_{2t+2}: the gap a_s - a_{s+1} goes to alpha for even s.
     """
     parts = check_partition(parts)
     n = sum(parts)
-    a = (0, *parts, 0, 0)  # a[t] is a_t
-    top = range(len(parts) // 2, 0, -1)  # largest part first
-    alpha = tuple(t for t in top for _ in range(a[2 * t] - a[2 * t + 1]))
-    beta = tuple(t for t in top for _ in range(a[2 * t + 1] - a[2 * t + 2]))
+    alpha: list[int] = []
+    beta: list[int] = []
+    prev = 0  # a_{s+1}
+    for s in range(len(parts), 1, -1):  # largest part first
+        x = parts[s - 1]  # a_s
+        if x == prev:  # no gap at s
+            continue
+        if s & 1:
+            beta += [s // 2] * (x - prev)
+        else:
+            alpha += [s // 2] * (x - prev)
+        prev = x
+    alpha, beta = tuple(alpha), tuple(beta)
     j = sum(alpha) + sum(beta)
     if j != sum(parts[1::2]):
         raise ConsistencyError("pair weight must equal the even-index subsum")
@@ -48,16 +59,17 @@ def forward(parts: Iterable[int]) -> BijectionImage:
 def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
     """Rebuild the partition of n mapping to the pair (alpha, beta).
 
-    Requires 2(|alpha| + |beta|) <= n and that beta have at most
+    Requires an int n >= 2(|alpha| + |beta|) and that beta have at most
     n - 2(|alpha| + |beta|) parts; otherwise no preimage exists and a
-    ValueError is raised.  Part t of the preimage, for t >= 2, counts the
-    alpha-parts of size >= ceil(t/2) plus the beta-parts of size >=
-    floor(t/2); the first part then absorbs the leftover weight.
+    ValueError is raised.  Each alpha part x reaches the parts a_2..a_{2x}
+    of the preimage and each beta part y the parts a_2..a_{2y+1}, so a_s,
+    for s >= 2, counts the steps at s or above; the first part then
+    absorbs the leftover weight.
     """
     alpha = check_partition(alpha)
     beta = check_partition(beta)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     j = sum(alpha) + sum(beta)
     if 2 * j > n:
         raise ValueError(f"pair weight {j} exceeds floor(n/2) for n = {n}")
@@ -66,23 +78,16 @@ def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
         raise ValueError(
             f"beta has {len(beta)} parts; at most {slack} allowed for n = {n}"
         )
-    # suffix[k] = number of parts of size >= k, for k = 1..top+1
-    top = max(alpha[0] if alpha else 0, beta[0] if beta else 0)
-    alpha_ge = _suffix_counts(alpha, top)
-    beta_ge = _suffix_counts(beta, top)
-    parts: list[int] = [0]  # placeholder for a_1
-    t = 2
-    while True:
-        a_t = alpha_ge[(t + 1) // 2] + beta_ge[t // 2]
-        if a_t == 0:
-            break
-        parts.append(a_t)
-        t += 1
-    a_2 = parts[1] if len(parts) > 1 else 0
-    parts[0] = a_2 + (slack - len(beta))
-    if parts[0] == 0:
-        parts.pop(0)
-    out = tuple(parts)
+    last = max(2 * alpha[0] if alpha else 0, 2 * beta[0] + 1 if beta else 0)
+    steps = [0] * (last + 1)  # steps[s]: the pair's parts that reach a_s, not a_{s+1}
+    for x in alpha:
+        steps[2 * x] += 1
+    for y in beta:
+        steps[2 * y + 1] += 1
+    rest = [*accumulate(steps[:1:-1])]  # a_last, ..., a_2
+    rest.reverse()
+    first = (rest[0] if rest else 0) + slack - len(beta)
+    out = (first, *rest) if first else tuple(rest)
     if out and out[0] != n - 2 * j + len(alpha):
         raise ConsistencyError("rebuilt first part must be n - 2j + len(alpha)")
     if sum(out) != n:
@@ -92,13 +97,3 @@ def inverse(alpha: Iterable[int], beta: Iterable[int], n: int) -> Partition:
     if any(map(lt, out, out[1:])):
         raise ConsistencyError("rebuilt parts must be weakly decreasing")
     return out
-
-
-def _suffix_counts(parts: Partition, top: int) -> list[int]:
-    """suffix[k] = number of parts >= k, with suffix[top + 1] = 0."""
-    suffix = [0] * (top + 2)
-    for count, part in enumerate(parts, 1):  # parts decrease: count parts >= part
-        suffix[part] = count
-    for k in range(top, 0, -1):
-        suffix[k] = suffix[k] or suffix[k + 1]
-    return suffix

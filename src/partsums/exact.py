@@ -17,7 +17,7 @@ import zlib
 from fractions import Fraction
 from itertools import islice, repeat
 from math import isqrt
-from operator import ge, mul
+from operator import mul
 from typing import BinaryIO, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 
@@ -26,6 +26,7 @@ class ConsistencyError(Exception):
 
 
 Partition = tuple[int, ...]
+_INT_ONLY = {int}  # the part types check_partition's fast path accepts
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -34,8 +35,9 @@ def check_partition(parts: Iterable[int]) -> Partition:
     Parts must be positive and weakly decreasing.  Returns a tuple.
     """
     out = tuple(parts)
-    # fast path in C: exact ints, weakly decreasing, the last one positive
-    if out and {*map(type, out)} == {int} and out[-1] >= 1 and all(map(ge, out, out[1:])):
+    # fast path in C: exact ints, the last one positive, already sorted descending
+    if (out and {*map(type, out)} == _INT_ONLY and out[-1] >= 1
+            and sorted(out, reverse=True) == [*out]):
         return out
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:

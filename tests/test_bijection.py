@@ -1,5 +1,7 @@
 """Tests for the subsum bijection: examples, roundtrips, pair counting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -55,6 +57,14 @@ def test_inverse_validation():
         inverse((1, 2), (), 8)  # not a partition
 
 
+@pytest.mark.parametrize("n", [6.5, 6.0, True, "6", None])
+def test_inverse_rejects_an_n_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        inverse((1,), (1,), n)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        inverse((), (), n)
+
+
 def test_broken_invariants_raise_consistency_error(monkeypatch):
     # The checks must be real raises, not asserts that vanish under -O.
     # Unchecked, the parts (3, 1, 2) give beta = (1, 1) of weight 2 > 1,
@@ -66,24 +76,61 @@ def test_broken_invariants_raise_consistency_error(monkeypatch):
         forward((1, 3))
     monkeypatch.undo()
 
-    suffix = bijection._suffix_counts
-    # (alpha, beta, n, {parts: {k: change to the count of parts >= k}}, check)
+    # The step count is seamed at accumulate, whose list runs a_last, ..., a_2.
+    # Unpatched, ((2, 2), (2, 2), 18) rebuilds (4, 4, 4, 4, 2).
+    # ({s: change to a_s}, check)
     cases = [
-        ((1,), (1,), 6, {(1,): {1: 1}}, "first part"),
-        ((2,), (), 4, {(2,): {1: -1}}, "weight n"),
-        ((2, 2), (2, 1), 20, {(2, 2): {1: 2, 2: 1}, (2, 1): {1: -2}}, "subsum j"),
-        ((2, 2), (2, 1), 20, {(2, 2): {2: 1}, (2, 1): {2: -1}}, "weakly decreasing"),
+        ({2: 1}, "first part"),
+        ({4: 1}, "weight n"),
+        ({3: 1, 4: -1}, "subsum j"),
+        ({3: 1, 5: -1}, "weakly decreasing"),
     ]
-    for alpha, beta, n, changes, check in cases:
-        def miscounted(parts, top):
-            counts = suffix(parts, top)
-            for k, change in changes.get(parts, {}).items():
-                counts[k] += change
-            return counts
+    for changes, check in cases:
+        def miscounted(steps):
+            rest = [*itertools.accumulate(steps)]
+            for s, change in changes.items():
+                rest[1 - s] += change
+            return rest
 
-        monkeypatch.setattr(bijection, "_suffix_counts", miscounted)
+        monkeypatch.setattr(bijection, "accumulate", miscounted)
         with pytest.raises(ConsistencyError, match=check):
-            inverse(alpha, beta, n)
+            inverse((2, 2), (2, 2), 18)
+
+
+def _forward_by_multiplicities(lam):
+    """alpha gets t with multiplicity a_{2t} - a_{2t+1}, beta a_{2t+1} - a_{2t+2}."""
+    a = (0, *lam, 0, 0)  # a[t] is a_t
+    top = range(len(lam) // 2, 0, -1)
+    alpha = tuple(t for t in top for _ in range(a[2 * t] - a[2 * t + 1]))
+    beta = tuple(t for t in top for _ in range(a[2 * t + 1] - a[2 * t + 2]))
+    return alpha, beta
+
+
+def _inverse_by_suffix_counts(alpha, beta, n):
+    """a_t, t >= 2, counts alpha parts >= ceil(t/2) and beta parts >= floor(t/2)."""
+    parts = []
+    t = 2
+    while True:
+        a_t = sum(x >= (t + 1) // 2 for x in alpha) + sum(y >= t // 2 for y in beta)
+        if a_t == 0:
+            break
+        parts.append(a_t)
+        t += 1
+    first = (parts[0] if parts else 0) + n - 2 * (sum(alpha) + sum(beta)) - len(beta)
+    return tuple([first] + parts if first else parts)
+
+
+def test_bijection_matches_its_definition():
+    # A round trip cannot see a fault made the same way in both directions,
+    # so each direction is held to the formula it implements.
+    for n in range(25):
+        for lam in oracle.partitions_of(n):
+            image = forward(lam)
+            assert (image.alpha, image.beta) == _forward_by_multiplicities(lam)
+    for j in range(9):
+        for alpha, beta in _pairs_of_weight(j):
+            for n in range(2 * j + len(beta), 2 * j + len(beta) + 4):
+                assert inverse(alpha, beta, n) == _inverse_by_suffix_counts(alpha, beta, n)
 
 
 def test_roundtrip_forward_then_inverse():
