@@ -1,8 +1,9 @@
 """Command-line interface over the exact tables and asymptotic series.
 
-Every subcommand assembles a ReportRecord and prints it in the requested
-format.  Exit status: 0 on success, 1 when a mathematical check failed,
-2 on bad usage or unreadable input, 3 on an internal error.
+Every subcommand returns its parameters, columns, rows and one verdict.
+main prints the table under the subcommand's name in the requested format
+and exits 0 on success, 1 when a verdict or another mathematical check
+failed, 2 on bad usage or unreadable input, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
 
@@ -27,15 +28,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class ReportRecord(NamedTuple):
-    """One emitted result: a labeled table plus the invocation parameters."""
-
-    kind: str
-    parameters: dict
-    columns: list
-    rows: list
-
-
 def _cell(v, digits: int) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -44,10 +36,11 @@ def _cell(v, digits: int) -> str:
     return str(v)  # decimal strings keep big integers lossless in JSON
 
 
-def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
+def emit(kind: str, parameters: dict, columns: list, rows: list, fmt: str, out,
+         dps: int) -> None:
     with mp.workdps(dps):  # the one place a printed float is rounded
         rows = [[+v if isinstance(v, mp.mpf) else v for v in row]
-                for row in record.rows]
+                for row in rows]
     if fmt == "json":
         import json
 
@@ -55,9 +48,9 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
             return v if isinstance(v, bool) else _cell(v, dps)
 
         doc = {
-            "kind": record.kind,
-            "parameters": {k: cell(v) for k, v in record.parameters.items()},
-            "columns": record.columns,
+            "kind": kind,
+            "parameters": {k: cell(v) for k, v in parameters.items()},
+            "columns": columns,
             "rows": [[cell(v) for v in row] for row in rows],
         }
         json.dump(doc, out, indent=2)
@@ -66,14 +59,14 @@ def emit(record: ReportRecord, fmt: str, out, dps: int) -> None:
         import csv
 
         writer = csv.writer(out)
-        writer.writerow(record.columns)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(v, 17) for v in row])
     else:
-        params = ", ".join(f"{k}={_cell(v, 17)}" for k, v in record.parameters.items())
-        out.write(f"{record.kind} ({params})\n" if params else f"{record.kind}\n")
-        cells = [record.columns] + [[_cell(v, 17) for v in row] for row in rows]
-        widths = [max(len(r[c]) for r in cells) for c in range(len(record.columns))]
+        params = ", ".join(f"{k}={_cell(v, 17)}" for k, v in parameters.items())
+        out.write(f"{kind} ({params})\n")
+        cells = [columns] + [[_cell(v, 17) for v in row] for row in rows]
+        widths = [max(len(r[c]) for r in cells) for c in range(len(columns))]
         for r in cells:
             out.write("  ".join(s.ljust(w) for s, w in zip(r, widths)).rstrip() + "\n")
 
@@ -123,7 +116,7 @@ def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_f_table(args) -> tuple[ReportRecord, int]:
+def cmd_f_table(args) -> tuple[dict, list, list, bool]:
     n = args.n
     f = exact.f_table(n)
     hi = 0 if n == 0 else n // 2 + 1
@@ -131,13 +124,10 @@ def cmd_f_table(args) -> tuple[ReportRecord, int]:
     for j in range(hi + 1):
         aj = exact.a000712(j)
         rows.append((j, f[j], aj, f[j] == aj))
-    record = ReportRecord(
-        "f-table", {"n": n}, ["j", "f", "pair_count", "match"], rows
-    )
-    return record, EXIT_OK
+    return {"n": n}, ["j", "f", "pair_count", "match"], rows, True
 
 
-def cmd_theorem1(args) -> tuple[ReportRecord, int]:
+def cmd_theorem1(args) -> tuple[dict, list, list, bool]:
     rows = []
     all_ok = True
     for n in range(3, args.n_max + 1):
@@ -146,13 +136,12 @@ def cmd_theorem1(args) -> tuple[ReportRecord, int]:
         ok = found == expected
         all_ok = all_ok and ok
         rows.append((n, found, expected, ok))
-    record = ReportRecord(
-        "theorem1",
+    return (
         {"n_max": args.n_max, "verdict": "PASS" if all_ok else "FAIL"},
         ["n", "first_mismatch", "expected", "ok"],
         rows,
+        all_ok,
     )
-    return record, EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def _class_means(args, ns: list[int]) -> Iterator[tuple]:
@@ -174,14 +163,13 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
         yield n, mean, mp.fdiv(mean.numerator, mean.denominator), predicted, residual
 
 
-def cmd_expectation(args) -> tuple[ReportRecord, int]:
-    record = ReportRecord(
-        "expectation",
+def cmd_expectation(args) -> tuple[dict, list, list, bool]:
+    return (
         {"m": args.m, "i": args.i, "precision": args.precision.name},
         ["n", "mean_exact", "mean", "predicted", "residual"],
         list(_class_means(args, sorted(set(args.n)))),
+        True,
     )
-    return record, EXIT_OK
 
 
 def _ladder(n_max: int) -> list[int]:
@@ -193,14 +181,13 @@ def _ladder(n_max: int) -> list[int]:
     return sorted(out)
 
 
-def cmd_convergence(args) -> tuple[ReportRecord, int]:
+def cmd_convergence(args) -> tuple[dict, list, list, bool]:
     rows = []
     for n, _, mean, _, r in _class_means(args, _ladder(args.n_max)):
         with mp.extradps(asymptotics.GUARD_DPS):  # r carries the guard digits
             rows.append((n, mean, r, abs(r) / mp.sqrt(n), abs(r) / mp.log(n)))
     improving = all(x[3] > y[3] or y[3] == 0 for x, y in zip(rows, rows[1:]))
-    record = ReportRecord(
-        "convergence",
+    return (
         {
             "m": args.m,
             "i": args.i,
@@ -210,11 +197,11 @@ def cmd_convergence(args) -> tuple[ReportRecord, int]:
         },
         ["n", "mean", "residual", "abs_residual_over_sqrt_n", "abs_residual_over_log_n"],
         rows,
+        improving,
     )
-    return record, EXIT_OK if improving else EXIT_CHECK_FAILED
 
 
-def cmd_constants(args) -> tuple[ReportRecord, int]:
+def cmd_constants(args) -> tuple[dict, list, list, bool]:
     m, prec = args.m, args.precision
     guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)  # emit rounds once
     routes = {"roots-of-unity": asymptotics.gamma_mh_roots,
@@ -236,16 +223,15 @@ def cmd_constants(args) -> tuple[ReportRecord, int]:
         rows.append((f"b[{i}]", asymptotics.b_coeff(m, i, guarded)))
         rows.append((f"c[{i}]", asymptotics.c_coeff(m, i, guarded)))
     ok = worst <= prec.cross_tol and abs(total) <= prec.cross_tol
-    record = ReportRecord(
-        "constants",
+    return (
         {"m": m, "precision": prec.name, "verdict": "PASS" if ok else "FAIL"},
         ["label", "value"],
         rows,
+        ok,
     )
-    return record, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_lambert(args) -> tuple[ReportRecord, int]:
+def cmd_lambert(args) -> tuple[dict, list, list, bool]:
     """Exact sum against the series, within twice the series' last term.
 
     The series comes first, so a --max-terms usage error costs no exact sum.
@@ -284,8 +270,7 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
         ("last_term_magnitude", last),
         ("within_2x_last_term", within),
     ]
-    record = ReportRecord(
-        "lambert",
+    return (
         {
             "alpha": args.alpha,
             "m": args.m,
@@ -295,14 +280,12 @@ def cmd_lambert(args) -> tuple[ReportRecord, int]:
         },
         ["label", "value"],
         rows,
+        within,
     )
-    return record, EXIT_OK if within else EXIT_CHECK_FAILED
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
     try:
         parts = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
@@ -310,7 +293,7 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return exact.check_partition(parts)
 
 
-def cmd_bijection(args) -> tuple[ReportRecord, int]:
+def cmd_bijection(args) -> tuple[dict, list, list, bool]:
     if args.partition is not None:
         parts = _parse_partition(args.partition)
         image = forward(parts)
@@ -341,8 +324,7 @@ def cmd_bijection(args) -> tuple[ReportRecord, int]:
             ("roundtrip_ok", ok),
         ]
         params = {"alpha": args.alpha, "beta": args.beta, "n": args.n}
-    record = ReportRecord("bijection", params, ["label", "value"], rows)
-    return record, EXIT_OK if ok else EXIT_CHECK_FAILED
+    return params, ["label", "value"], rows, ok
 
 
 def read_bfile(path: Path) -> list[tuple[int, int]]:
@@ -373,7 +355,7 @@ def read_bfile(path: Path) -> list[tuple[int, int]]:
     return entries
 
 
-def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
+def cmd_oeis_check(args) -> tuple[dict, list, list, bool]:
     entries = read_bfile(args.bfile)
     count = args.count if args.count is not None else len(entries)
     params = {"bfile": str(args.bfile), "generator": "a000712", "count": count}
@@ -391,8 +373,7 @@ def cmd_oeis_check(args) -> tuple[ReportRecord, int]:
         ("first_mismatch_index", "none" if first_bad is None else first_bad),
         ("verdict", "PASS" if first_bad is None else "FAIL"),
     ]
-    record = ReportRecord("oeis-check", params, ["label", "value"], rows)
-    return record, EXIT_OK if first_bad is None else EXIT_CHECK_FAILED
+    return params, ["label", "value"], rows, first_bad is None
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     dps = args.precision.dps if "precision" in args else mp.mp.dps
     try:
         with mp.workdps(dps):
-            record, status = args.handler(args)
+            *table, ok = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -531,11 +512,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         return EXIT_INTERNAL
     try:
-        emit(record, args.format, sys.stdout, dps)
+        emit(args.command, *table, args.format, sys.stdout, dps)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early (`| head`): drop the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return status
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def entry() -> None:

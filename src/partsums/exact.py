@@ -391,10 +391,8 @@ def theorem1_check(n: int) -> int:
     f(n, j) != a000712(j).  f(n, n//2 + 1) = 0 lies below the pair count,
     so one is always found, and f stays 0 past it.  Also insists the
     departure is one-sided: past the agreement range f must fall strictly
-    below the pair count.
+    below the pair count.  f_table, called first, checks n >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     hi = n // 2 + 1
     f = f_table(n) + [0]  # f(0, 1) = 0: at n = 0 the scan passes the table
     first = None

@@ -66,9 +66,10 @@ def brute_distribution(n: int, m: int, i: int) -> list[int]:
 def brute_distributions(
     n: int, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], list[int]]:
-    """Histograms for several (m, i) classes from a single enumeration pass."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Histograms for several (m, i) classes from a single enumeration pass.
+
+    The enumeration, partitions_of, checks n >= 0.
+    """
     for m, i in pairs:
         _check_mod_class(m, i)
     if n > ORACLE_LIMIT:

@@ -432,6 +432,22 @@ def test_ratio_prediction_validation():
         ratio_prediction(10, 11)
 
 
+# name -> (arguments, message)
+_SIZE_CHECKS = {
+    "predict_expected_subsum": ((0, 2, 1), "n must be >= 1"),
+    "sj_sum_prediction": ((0, 2, 1), "n must be >= 1"),
+    "lambert_tau_asymptotic": (("0.1", 2, 1, -1), "max_terms must be >= 0"),
+    "hardy_ramanujan_leading": ((0,), "n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", _SIZE_CHECKS)
+def test_out_of_range_size_is_rejected(name):
+    args, message = _SIZE_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        getattr(asymptotics, name)(*args)
+
+
 def test_s_sum_predictions_remainder_bounded():
     # Remainders are O(log n); measured |rem|/log n peaks at 0.227 for S and
     # 0.116 for the residue splits (m = 2), decreasing in n.  Frozen bounds

@@ -472,6 +472,65 @@ def test_consistency_failure_exits_1(capsys, monkeypatch):
     assert err == "consistency failure: injected\n"
 
 
+def _prediction_off_by_n(f):
+    return lambda n, *rest: f(n, *rest) + n
+
+
+# id -> (argv, (module, name, wrap) or None, exit code, first line, one row).
+# wrap(real) is the stand-in; a float in the row is compared to 1e-3 relative.
+_VERDICTS = {
+    "theorem1": (["theorem1", "--n-max", "8"],
+                 (exact, "theorem1_check", lambda f: lambda n: f(n) + (n == 5)),
+                 1, "theorem1 (n_max=8, verdict=FAIL)", ["5", "3", "2", "False"]),
+    "convergence": (["convergence", "--m", "2", "--i", "2", "--n-max", "1600"],
+                    (asymptotics, "predict_expected_subsum", _prediction_off_by_n),
+                    1, "convergence (m=2, i=2, n_max=1600, precision=extended,"
+                       " improving=False)", ["1600", 762.874, -1600.40]),
+    "constants": (["constants", "--m", "3", "--precision", "double"],
+                  (asymptotics, "gamma_mh_digamma",
+                   lambda f: lambda *a: f(*a) + mp.mpf("1e-3")),
+                  1, "constants (m=3, precision=double, verdict=FAIL)",
+                  ["max_cross_deviation", 1e-3]),
+    "lambert": (["lambert", "--alpha", "0.05", "--m", "3", "--h", "2"],
+                (asymptotics, "lambert_tau_exact", lambda f: lambda *a: 2 * f(*a)),
+                1, "lambert (alpha=0.05, m=3, h=2, max_terms=8, precision=extended)",
+                ["within_2x_last_term", "False"]),
+    "bijection": (["bijection", "--partition", "5,4,2,1"],
+                  (cli, "inverse", lambda f: lambda alpha, beta, n: (n,)),
+                  1, "bijection (partition=5,4,2,1)", ["roundtrip_ok", "False"]),
+    "oeis-check": (["oeis-check", "--bfile", str(BFILE)],
+                   (exact, "a000712", lambda f: lambda j: f(j) + (j == 3)),
+                   1, f"oeis-check (bfile={BFILE}, generator=a000712, count=16)",
+                   ["first_mismatch_index", "3"]),
+    # no verdict: a mismatch or a wrong prediction is a value, not a failure
+    "f-table": (["f-table", "--n", "8"], None,
+                0, "f-table (n=8)", ["3", "9", "10", "False"]),
+    "expectation": (["expectation", "--m", "2", "--i", "2", "--n", "1600"],
+                    (asymptotics, "predict_expected_subsum", _prediction_off_by_n),
+                    0, "expectation (m=2, i=2, precision=extended)", ["1600"]),
+}
+
+
+@pytest.mark.parametrize("argv, patch, status, first, row", _VERDICTS.values(),
+                         ids=list(_VERDICTS))
+def test_verdict_sets_the_exit_code_and_the_table_still_prints(
+        argv, patch, status, first, row, capsys, monkeypatch):
+    if patch is not None:
+        module, name, wrap = patch
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (status, "")
+    lines = out.splitlines()
+    assert lines[0] == first
+
+    def matches(cells):
+        return len(cells) >= len(row) and all(
+            c == w if isinstance(w, str) else float(c) == pytest.approx(w, rel=1e-3)
+            for c, w in zip(cells, row))
+
+    assert sum(matches(line.split()) for line in lines[2:]) == 1, out
+
+
 # Imports the CLI, then runs each argv in the same interpreter.  For each
 # step it prints the exit code, the watched modules that step loaded and
 # the argv.  Modules loaded before the import (a site hook's) never count.
@@ -640,13 +699,18 @@ def test_oeis_check_detects_mismatch(tmp_path, capsys):
 
 
 def test_oeis_check_rejects_malformed_files(tmp_path, capsys):
-    cases = ["0 1\n2 5\n", "0 1\nxyz 4\n", "", "0 1 2\n"]
-    for text in cases:
+    cases = {"0 1\n2 5\n": "indices not consecutive at index 2",
+             "0 1\nxyz 4\n": "line 2: non-integer field",
+             "": "no entries found",
+             "0 1 2\n": "line 1: expected 'index value'",
+             "-1 1\n0 1\n": "negative start index -1 not supported"}
+    for text, reason in cases.items():
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         code, _, err = run(capsys, ["oeis-check", "--bfile", str(bad)])
         assert code == 2, text
         assert err.startswith("error:")
+        assert reason in err, err
     code, _, err = run(capsys, ["oeis-check", "--bfile", str(tmp_path / "nope.txt")])
     assert code == 2
 

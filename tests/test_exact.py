@@ -260,6 +260,26 @@ def test_total_subsum_validation():
         exact.s_sums_exact(10, 2, p=[1, 1, 2])
 
 
+# name -> (arguments, message).  theorem1_check's size check is f_table's.
+_SIZE_CHECKS = {
+    "restricted_counts": ((-1, 0), "table bounds must be >= 0"),
+    "expected_subsum": ((0, 2, 1), "n must be >= 1"),
+    "s_sums_exact": ((0, 2), "n must be >= 1"),
+    "euler_identity_check": ((0,), "n_max must be >= 1"),
+    "a000712": ((-1,), "j must be >= 0"),
+    "f_table": ((-1,), "n must be >= 0"),
+    "theorem1_check": ((-1,), "n must be >= 0"),
+    "subsum_distribution": ((-1, 1, 1), "n must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", _SIZE_CHECKS)
+def test_out_of_range_size_is_rejected(name):
+    args, message = _SIZE_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        getattr(exact, name)(*args)
+
+
 def test_expected_subsum_small_case():
     # n = 6, m = 2, i = 1: mean of a_1 + a_3 + a_5 over the 11 partitions.
     want = Fraction(oracle.brute_total(6, 2, 1), 11)

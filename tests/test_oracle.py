@@ -99,6 +99,14 @@ def test_enumeration_guard():
         oracle.brute_total(100, 2, 1)
 
 
+def test_out_of_range_size_is_rejected():
+    # brute_distributions' n >= 0 check is the one partitions_of makes
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        oracle.brute_distributions(-1, [(1, 1)])
+    with pytest.raises(ValueError, match="j must be >= 0"):
+        oracle.brute_f(5, -1)
+
+
 @pytest.mark.parametrize("path, allowed", [
     # the ground truth borrows only input checks and the Partition alias
     (Path(oracle.__file__), {"Partition", "_check_mod_class", "check_partition"}),
