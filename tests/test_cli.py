@@ -778,6 +778,18 @@ def test_cache_dir_rejects_corrupt_table(tmp_path, capsys):
     assert "p-table-200.bin" in err
 
 
+def test_cache_error_names_the_table_as_the_directory_joins_it(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a relative --cache-dir prints the path as given, with no "./" prefix
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p-table-200.bin").write_text("garbage\n")
+    code, out, err = run(capsys, ["expectation", "--m", "2", "--i", "1", "--n", "200",
+                                  "--cache-dir", "."])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: p-table-200.bin: not a p-table header"), err
+
+
 @pytest.mark.parametrize("damage, reason", [
     ("edit", "checksum"), ("truncate", "bytes after the header")])
 def test_cache_dir_rejects_damaged_table(tmp_path, capsys, damage, reason):
