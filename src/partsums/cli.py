@@ -72,46 +72,6 @@ def emit(kind: str, parameters: dict, columns: list, rows: list, fmt: str, out,
 
 
 # ---------------------------------------------------------------------------
-# table caching
-# ---------------------------------------------------------------------------
-
-
-def _p_table_cached(cache_dir: Optional[Path], max_n: int) -> None:
-    """Seed the shared p-table from the smallest p-table-N.bin with N >= max_n.
-
-    Only the p-table is kept on disk; totals are sums of its slices.  A
-    damaged file fails its checksum: an error naming it.  A miss saves
-    p-table-{max_n}.bin through a temporary file, so a failed save leaves
-    no partial table behind.  Without cache_dir nothing is done.
-    """
-    if cache_dir is None:
-        return
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    sizes = {}
-    for path in cache_dir.glob("p-table-*.bin"):
-        size = path.name[len("p-table-"):-len(".bin")]
-        if size.isdecimal() and int(size) >= max_n:
-            sizes[int(size)] = path
-    if sizes:
-        path = sizes[min(sizes)]
-        with path.open("rb") as fh:
-            try:
-                values = exact.load_p_table(fh, max_n)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        exact.preload_partition_counts(values)
-        return
-    values = exact.partition_counts(max_n)
-    tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
-    try:
-        with tmp.open("wb") as fh:
-            exact.save_p_table(fh, values)
-        tmp.replace(cache_dir / f"p-table-{max_n}.bin")
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -155,7 +115,7 @@ def _class_means(args, ns: list[int]) -> Iterator[tuple]:
     guarded = prec._replace(dps=prec.dps + asymptotics.GUARD_DPS)
     # predictions before the p-table is held: a ladder job peaks ~0.1 MB lower
     predictions = [asymptotics.predict_expected_subsum(n, m, i, guarded) for n in ns]
-    _p_table_cached(args.cache_dir, max(ns))
+    exact.ensure_p_table(max(ns), args.cache_dir)
     for n, predicted in zip(ns, predictions):
         mean = exact.expected_subsum(n, m, i)
         with mp.workdps(guarded.dps):

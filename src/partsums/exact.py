@@ -6,12 +6,13 @@ partition lambda = (a_1 >= a_2 >= ...) and a residue class i mod m, is the
 sum of the parts a_i, a_{i+m}, a_{i+2m}, ...  Nothing is enumerated (that
 ground truth is oracle.py's).  The p-table recurrence sums p-table slices
 in C.  A total over all partitions of n is Euler's n p(n) = sum_k sigma(k)
-p(n - k) plus residue-class sums of slices of the partition table, split
-at isqrt(n).  p-tables persist on disk as checksummed binary files.
+p(n - k) plus residue-class sums of p-table slices, split at isqrt(n).  This
+module owns the p-table from compute or disk (a checksummed file) to memory.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from fractions import Fraction
@@ -521,6 +522,50 @@ def load_p_table(fh: BinaryIO, max_n: int) -> list[int]:
     if values[0] != 1:
         raise ValueError("p(0) must be 1")
     return values
+
+
+def ensure_p_table(max_n: int, cache_dir: Optional[str | os.PathLike] = None) -> str:
+    """Make the shared p-table hold p(max_n); return where it came from.
+
+    Without cache_dir: "memory" if it already did, else "computed".  With
+    one, the smallest p-table-N.bin with N >= max_n is read and checked even
+    when memory could serve ("disk:p-table-N.bin"; a damaged file raises
+    ValueError naming it).  A miss saves p-table-{max_n}.bin via a temporary
+    file, from the held table ("memory") or a compute ("computed").
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    source = "memory" if len(_P_VALUES) > max_n else "computed"
+    if cache_dir is None:
+        _p_values(max_n)
+        return source
+    from pathlib import Path  # imported here: the library alone loads no pathlib
+
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    sizes = {}
+    for path in cache_dir.glob("p-table-*.bin"):
+        size = path.name[len("p-table-"):-len(".bin")]
+        if size.isdecimal() and int(size) >= max_n:
+            sizes[int(size)] = path
+    if sizes:
+        path = sizes[min(sizes)]
+        with path.open("rb") as fh:
+            try:
+                values = load_p_table(fh, max_n)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        preload_partition_counts(values)
+        return f"disk:{path.name}"
+    values = partition_counts(max_n)
+    tmp = cache_dir / f".p-table-{max_n}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("wb") as fh:
+            save_p_table(fh, values)
+        tmp.replace(cache_dir / f"p-table-{max_n}.bin")
+    finally:
+        tmp.unlink(missing_ok=True)
+    return source
 
 
 def save_divisor_tables(fh: TextIO, tables: DivisorSumTables) -> None:

@@ -490,6 +490,16 @@ def test_table_routes_within_seven_bits_of_90_digit_references():
                             route.__name__, m, k, precision.name)
 
 
+# psi(h/m) by the Stieltjes constant, a route that does not call digamma,
+# checks the psi every reference gamma_{m,h} is built from.
+@pytest.mark.parametrize("m, h", [(2, 1), (3, 1), (5, 5), (7, 3), (12, 7),
+                                  (64, 5), (97, 48), (128, 5)])
+def test_reference_gamma_matches_the_stieltjes_route(m, h):
+    with mp.workdps(references.DPS):
+        want = -(mp.euler + mp.log(m) + references.psi_by_stieltjes(h, m)) / m
+        assert abs(references.gamma(m, h) - want) < mp.mpf("1e-85")
+
+
 def _fdot_routes(m, dps):
     """Each table route's values at dps digits, as one mp.fdot over mpf tables
     built the way the package built them before its integer dot products."""

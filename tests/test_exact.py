@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import references
 from partsums import exact, oracle
 from partsums.exact import ConsistencyError
 
@@ -58,6 +59,11 @@ def _coin_change_counts(max_n):
 
 def test_partition_counts_against_coin_change():
     assert exact.partition_counts(3000) == _coin_change_counts(3000)
+
+
+@pytest.mark.parametrize("n", [20366, 32000])  # p(20366) is the first to need 512 bits
+def test_partition_counts_against_rademacher_series(n):
+    assert exact.partition_counts(n)[n] == references.partition_number(n)
 
 
 def test_partition_counts_spot_values():
@@ -684,6 +690,53 @@ def test_p_table_serialization_across_chunks():
     damaged[-20] ^= 1
     with pytest.raises(ValueError, match="checksum"):
         exact.load_p_table(io.BytesIO(bytes(damaged)), 10)
+
+
+def test_ensure_p_table_names_its_source(tmp_path, monkeypatch):
+    want = exact.partition_counts(500)
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    assert exact.ensure_p_table(500, tmp_path) == "computed"
+    assert [path.name for path in tmp_path.iterdir()] == ["p-table-500.bin"]
+    assert exact._P_VALUES == want
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    assert exact.ensure_p_table(500, tmp_path) == "disk:p-table-500.bin"
+    assert exact._P_VALUES == want
+
+    def unreadable(fh, max_n):
+        raise ValueError("read")
+
+    # a held table reads no file, unless a cache directory asks for its check
+    monkeypatch.setattr(exact, "load_p_table", unreadable)
+    assert exact.ensure_p_table(500) == "memory"
+    assert exact.ensure_p_table(17) == "memory"
+    with pytest.raises(ValueError) as info:
+        exact.ensure_p_table(500, tmp_path)
+    assert str(info.value) == f"{tmp_path / 'p-table-500.bin'}: read"
+    # a miss saves the held table
+    assert exact.ensure_p_table(300, tmp_path / "new") == "memory"
+    assert [path.name for path in (tmp_path / "new").iterdir()] == ["p-table-300.bin"]
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    assert exact.ensure_p_table(300) == "computed"
+    assert exact._P_VALUES == want[:301]
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        exact.ensure_p_table(-1)
+
+
+def test_ensure_p_table_serves_a_prefix_of_a_larger_file(tmp_path, monkeypatch):
+    want = exact.partition_counts(1600)
+    with open(tmp_path / "p-table-1600.bin", "wb") as fh:
+        exact.save_p_table(fh, want)
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    assert exact.ensure_p_table(400, str(tmp_path)) == "disk:p-table-1600.bin"
+    assert exact._P_VALUES == want[:401]
+    assert [path.name for path in tmp_path.iterdir()] == ["p-table-1600.bin"]
+    # the smallest table that holds p(400) serves it
+    for size in (399, 450):
+        with open(tmp_path / f"p-table-{size}.bin", "wb") as fh:
+            exact.save_p_table(fh, want[:size + 1])
+    monkeypatch.setattr(exact, "_P_VALUES", [1])
+    assert exact.ensure_p_table(400, tmp_path) == "disk:p-table-450.bin"
+    assert exact._P_VALUES == want[:401]
 
 
 def test_divisor_tables_serialization_roundtrip():
